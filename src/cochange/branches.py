@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .history import (
     CommitGraph,
-    Strategy,
     additional_changes,
     ancestors_first_parent,
     branch_commits,
@@ -26,8 +25,8 @@ from .history import (
     merge_base,
     merge_commit_size,
 )
-from .evaluation import PairedVerdict, TestCase
-from .recommend import Query, RecommenderConfig, _walk_before, _collect
+from .evaluation import PairedVerdict, TestCase, _db_fingerprint
+from .mining import Transaction
 
 
 class CauseAttributionError(RuntimeError):
@@ -79,22 +78,18 @@ class CausalDiagnosis:
 def diagnose_causes(
     graph: CommitGraph,
     test_case: TestCase,
-    strategies: tuple[Strategy, Strategy],
-    config: RecommenderConfig,
+    db_a: list[Transaction],
+    db_b: list[Transaction],
 ) -> CausalDiagnosis | None:
     """Blame merges for the difference between two collections.
 
-    A merge is a cause when its own entry landed in either collection or
-    any of its branch commits landed in the first strategy's collection.
-    Returns None when the collections are identical (nothing to explain).
+    ``db_a`` and ``db_b`` are what the two strategies collected for
+    ``test_case`` (``PipelineRun.db``).  A merge is a cause when its own
+    entry landed in either collection or any of its branch commits
+    landed in ``db_a``.  Returns None when the collections are identical
+    (nothing to explain).
     """
-    a, b = strategies
-    query = Query(test_case.query, test_case.commit)
-    db_a = _collect(_walk_before(graph, test_case.commit, a), query, config)
-    db_b = _collect(_walk_before(graph, test_case.commit, b), query, config)
-    if [(t.source_commit, t.files) for t in db_a] == [
-        (t.source_commit, t.files) for t in db_b
-    ]:
+    if _db_fingerprint(db_a) == _db_fingerprint(db_b):
         return None
     ids_a = {t.source_commit for t in db_a}
     ids_b = {t.source_commit for t in db_b}
@@ -220,37 +215,16 @@ def winner_rate_table(
     return out
 
 
-def commit_cap_filter(
-    test_cases: Sequence[TestCase],
-    graph: CommitGraph,
-    config: RecommenderConfig,
-    cap: int | None,
-    strategy: Strategy = Strategy.FIRST_PARENT_MERGE,
-) -> list[TestCase]:
-    """Keep cases whose first-parent collection is at most ``cap`` commits.
-
-    ``cap=None`` keeps everything.
-    """
-    if cap is None:
-        return list(test_cases)
-    kept = []
-    for case in test_cases:
-        query = Query(case.query, case.commit)
-        walk = _walk_before(graph, case.commit, strategy)
-        if len(_collect(walk, query, config)) <= cap:
-            kept.append(case)
-    return kept
-
-
-def fp_collection_size(
-    graph: CommitGraph,
-    case: TestCase,
-    config: RecommenderConfig,
-    strategy: Strategy = Strategy.FIRST_PARENT_MERGE,
-) -> int:
-    """Number of changesets the first-parent strategy collects for a case."""
-    query = Query(case.query, case.commit)
-    return len(_collect(_walk_before(graph, case.commit, strategy), query, config))
+def median_cap(sizes: Sequence[int]) -> int | None:
+    """Median of the first-parent collection sizes, rounded up to an
+    integer; None (no cap) when there are no sizes."""
+    if not sizes:
+        return None
+    ordered = sorted(sizes)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid] + 1) // 2
 
 
 def eligible_merges_for_cochange(graph: CommitGraph) -> list[str]:

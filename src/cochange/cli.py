@@ -14,27 +14,28 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .branches import (
+    CausalDiagnosis,
     CauseAttributionError,
     Cohort,
     CochangeMode,
     added_cochange_count,
     branch_info,
-    commit_cap_filter,
     diagnose_causes,
-    fp_collection_size,
+    median_cap,
     sample_heavy_merges,
     cochange_study,
     winner_rate_table,
 )
 from .evaluation import (
-    PairedVerdict,
+    ExperimentResult,
+    _eligible_cases,
+    _paired_records,
     pairwise_verdict,
     run_experiment,
 )
@@ -63,6 +64,9 @@ OUTPUT_DIR_ENV = "COCHANGE_OUTPUT_DIR"
 
 _STRATEGIES = {s.value: s for s in Strategy}
 _COLLECTORS = {c.value: c for c in Collector}
+
+# Marks a case whose differing collections no merge explains.
+_UNATTRIBUTED = object()
 
 # Experiment profiles bind the collector and the fairness adjustment to
 # the strategy pair; overriding either needs --unsafe-override.
@@ -218,42 +222,45 @@ def _load_config_file(path: str | None) -> dict:
 def _config_fraction(value) -> Fraction:
     # JSON numbers arrive as float/int; go through the decimal string so
     # 0.1 means exactly 1/10.
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(str(value))
+
+
+def _config_int(value) -> int:
+    if type(value) is not int:  # JSON true and 2.5 are not counts
+        raise ValueError(value)
+    return value
+
+
+# RecommenderConfig field -> converter.  Each field comes from the flag
+# of the same name, else the config file key of the same name, else the
+# default.
+_CONFIG_FIELDS = {
+    "minsup": _config_fraction,
+    "minconf": _config_fraction,
+    "max_changeset_size": _config_int,
+    "max_commits": _config_int,
+    "max_rules": _config_int,
+    "collector": _COLLECTORS.__getitem__,
+}
 
 
 def _build_recommender_config(
     args, file_config: dict, default_collector: Collector
 ) -> RecommenderConfig:
-    config = RecommenderConfig(collector=default_collector)
-    mapping = [
-        ("minsup", "minsup", _config_fraction),
-        ("minconf", "minconf", _config_fraction),
-        ("max_changeset_size", "max_changeset_size", int),
-        ("max_commits", "max_commits", int),
-        ("max_rules", "max_rules", int),
-    ]
-    for key, attr, conv in mapping:
-        if key in file_config:
-            config = replace(config, **{attr: conv(file_config[key])})
-    if "collector" in file_config:
-        config = replace(
-            config, collector=_COLLECTORS[str(file_config["collector"])]
-        )
-    for flag, attr in [
-        ("minsup", "minsup"),
-        ("minconf", "minconf"),
-        ("max_commits", "max_commits"),
-        ("max_changeset_size", "max_changeset_size"),
-        ("max_rules", "max_rules"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            config = replace(config, **{attr: value})
-    if getattr(args, "collector", None) is not None:
-        config = replace(config, collector=_COLLECTORS[args.collector])
-    return config
+    values = {"collector": default_collector}
+    for key, convert in _CONFIG_FIELDS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = convert(flag)
+        elif key in file_config:
+            try:
+                values[key] = convert(file_config[key])
+            except (ValueError, TypeError, KeyError, ZeroDivisionError):
+                raise ValueError(
+                    f"config key {key!r} has a malformed value: "
+                    f"{file_config[key]!r}"
+                ) from None
+    return RecommenderConfig(**values)
 
 
 def _resolve_out_dir(args, file_config: dict) -> Path:
@@ -398,37 +405,37 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _pair_settings(args) -> tuple[tuple[Strategy, Strategy], Collector, bool]:
+def _pair_settings(
+    args, file_config: dict
+) -> tuple[tuple[Strategy, Strategy], RecommenderConfig, bool]:
+    """Strategy pair, resolved recommender config and fairness.
+
+    A collector (from a flag or the config file) or fairness that
+    contradicts the pair's profile needs --unsafe-override.
+    """
     names = tuple(args.pair.split(","))
     default_collector, default_fairness = _PROFILES[names]
-    collector = default_collector
-    fairness = default_fairness
+    config = _build_recommender_config(args, file_config, default_collector)
+    fairness = (
+        default_fairness if args.fairness is None else args.fairness == "on"
+    )
     overrides = []
-    if getattr(args, "collector", None) is not None:
-        requested = _COLLECTORS[args.collector]
-        if requested is not default_collector:
-            overrides.append("collector")
-        collector = requested
-    if getattr(args, "fairness", None) is not None:
-        requested_fairness = args.fairness == "on"
-        if requested_fairness != default_fairness:
-            overrides.append("fairness")
-        fairness = requested_fairness
+    if config.collector is not default_collector:
+        overrides.append("collector")
+    if fairness != default_fairness:
+        overrides.append("fairness")
     if overrides and not args.unsafe_override:
         raise SystemExit(_usage_error(
             f"{' and '.join(overrides)} contradict the {args.pair} profile; "
             "pass --unsafe-override to proceed"
         ))
-    return (_STRATEGIES[names[0]], _STRATEGIES[names[1]]), collector, fairness
+    return (_STRATEGIES[names[0]], _STRATEGIES[names[1]]), config, fairness
 
 
 def _cmd_evaluate(args) -> int:
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
-    strategies, collector, fairness = _pair_settings(args)
-    config = _build_recommender_config(args, file_config, collector)
-    if getattr(args, "collector", None) is None and "collector" not in file_config:
-        config = replace(config, collector=collector)
+    strategies, config, fairness = _pair_settings(args, file_config)
     out_dir = _resolve_out_dir(args, file_config)
     result = run_experiment(graph, strategies, config, fairness, graph.label)
     write_records_csv(result, out_dir / "records.csv")
@@ -457,50 +464,30 @@ def _cmd_analyze_branches(args) -> int:
         args, file_config, Collector.PER_FILE_SLICE
     )
     out_dir = _resolve_out_dir(args, file_config)
-    result = run_experiment(graph, strategies, config, False, graph.label)
-    cases = [rec.test_case for rec in result.records_a]
-
-    cap = args.cap
-    if cap == "none":
-        cap = None
-    elif cap == "median":
-        sizes = sorted(fp_collection_size(graph, c, config) for c in cases)
-        if not sizes:
-            cap = None
-        else:
-            mid = len(sizes) // 2
-            cap = (
-                sizes[mid]
-                if len(sizes) % 2
-                else (sizes[mid - 1] + sizes[mid] + 1) // 2
-            )
-    kept = set()
-    if cases:
-        kept = {
-            (c.commit, c.oracle)
-            for c in commit_cap_filter(cases, graph, config, cap)
-        }
-
-    diagnosed: list = []
-    verdicts: list[PairedVerdict] = []
-    unattributed = 0
-    equal_collections = 0
-    for rec_a, rec_b in zip(result.records_a, result.records_b):
-        case = rec_a.test_case
-        if cases and (case.commit, case.oracle) not in kept:
-            continue
+    # One constant-size row per case, in case order (winner_rate_table
+    # breaks ties by position): first-parent collection size, diagnosis
+    # (None for equal collections), verdict.  The collections themselves
+    # are dropped as soon as the case is diagnosed.
+    rows = []
+    counters = ExperimentResult(*strategies, fairness=False)
+    cases = _eligible_cases(graph, strategies, config, counters)
+    for case, run_a, run_b in cases:
         try:
-            diagnosis = diagnose_causes(graph, case, strategies, config)
+            diagnosis = diagnose_causes(graph, case, run_a.db, run_b.db)
         except CauseAttributionError:
-            unattributed += 1
-            continue
-        if diagnosis is None:
-            equal_collections += 1
-            continue
-        diagnosed.append(diagnosis)
-        verdicts.append(pairwise_verdict(rec_a, rec_b))
+            diagnosis = _UNATTRIBUTED
+        records = _paired_records(case, strategies, (run_a, run_b), False)
+        rows.append((len(run_b.db), diagnosis, pairwise_verdict(*records)))
 
-    pairs = list(zip(diagnosed, verdicts))
+    if args.cap == "median":
+        cap = median_cap([size for size, _, _ in rows])
+    else:
+        cap = None if args.cap == "none" else args.cap
+    kept = [(d, v) for size, d, v in rows if cap is None or size <= cap]
+    pairs = [(d, v) for d, v in kept if isinstance(d, CausalDiagnosis)]
+    equal_collections = sum(d is None for d, _ in kept)
+    unattributed = sum(d is _UNATTRIBUTED for d, _ in kept)
+
     outputs = []
     for characteristic in ("branch_length", "merge_size"):
         for cohort in (Cohort.SINGLE, Cohort.SIX_PLUS):
@@ -517,12 +504,12 @@ def _cmd_analyze_branches(args) -> int:
     summary = {
         "strategy_pair": [s.value for s in strategies],
         "cap": cap,
-        "cases_evaluated": result.events,
-        "cases_after_cap": len(pairs) + equal_collections + unattributed,
+        "cases_evaluated": len(rows),
+        "cases_after_cap": len(kept),
         "cases_diagnosed": len(pairs),
         "cases_equal_collections": equal_collections,
         "cases_unattributed": unattributed,
-        "causing_merges_histogram": _histogram(d.n_causing for d in diagnosed),
+        "causing_merges_histogram": _histogram(d.n_causing for d, _ in pairs),
     }
     write_json(summary, out_dir / "branch_analysis.json")
     outputs.append("branch_analysis.json")

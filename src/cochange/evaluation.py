@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 from .history import CommitGraph, Strategy, ancestors_first_parent
 from .mining import Transaction
@@ -23,8 +23,8 @@ from .recommend import (
     Query,
     Recommendation,
     RecommenderConfig,
+    _fair_pair,
     _run_pipeline,
-    _truncate,
     _walk_before,
 )
 
@@ -401,18 +401,70 @@ class ExperimentResult:
     strategy_a: Strategy
     strategy_b: Strategy
     fairness: bool
-    records_a: list[EvaluationRecord]
-    records_b: list[EvaluationRecord]
-    verdicts: list[PairedVerdict]
-    commits_considered: int
-    commits_eligible: int
-    ineligible_reasons: Counter
-    errors: list[tuple[str, str]]
+    records_a: list[EvaluationRecord] = field(default_factory=list)
+    records_b: list[EvaluationRecord] = field(default_factory=list)
+    verdicts: list[PairedVerdict] = field(default_factory=list)
+    commits_considered: int = 0
+    commits_eligible: int = 0
+    ineligible_reasons: Counter = field(default_factory=Counter)
+    errors: list[tuple[str, str]] = field(default_factory=list)
     repo_label: str = ""
 
     @property
     def events(self) -> int:
         return len(self.verdicts)
+
+
+def _eligible_cases(
+    graph: CommitGraph,
+    strategies: tuple[Strategy, Strategy],
+    config: RecommenderConfig,
+    result: ExperimentResult,
+) -> Iterator[tuple[TestCase, PipelineRun, PipelineRun]]:
+    """Each case of every eligible commit, in ``run_experiment`` order,
+    with both strategies' pipeline runs.  Commit counters, ineligibility
+    reasons and per-commit errors go into ``result``."""
+    a, b = strategies
+    for commit in ancestors_first_parent(graph, graph.head):
+        result.commits_considered += 1
+        try:
+            prepared = _prepare_commit(graph, commit, strategies, config)
+            reason = _eligibility_reason(prepared, strategies)
+        except Exception as exc:  # keep going; the report names the commit
+            result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
+            continue
+        if reason is not None:
+            result.ineligible_reasons[reason] += 1
+            continue
+        result.commits_eligible += 1
+        for i, case in enumerate(prepared.cases):
+            yield case, prepared.runs[(i, a)], prepared.runs[(i, b)]
+
+
+def _paired_records(
+    case: TestCase,
+    strategies: tuple[Strategy, Strategy],
+    runs: tuple[PipelineRun, PipelineRun],
+    fairness: bool,
+) -> list[EvaluationRecord]:
+    """One record per strategy; with ``fairness`` both recommendations
+    are first cut to the shorter length."""
+    recs = tuple(run.recommendation for run in runs)
+    if fairness:
+        recs = _fair_pair(*recs)
+    records = []
+    for strategy, rec, run in zip(strategies, recs, runs):
+        outcome, rank, ap = classify(rec, case)
+        records.append(EvaluationRecord(
+            test_case=case,
+            strategy=strategy,
+            outcome=outcome,
+            oracle_rank=rank,
+            average_precision=ap,
+            n_recommendations=len(rec.entries),
+            n_rules=len(run.rules),
+        ))
+    return records
 
 
 def run_experiment(
@@ -431,57 +483,11 @@ def run_experiment(
     a, b = strategies
     if a is b:
         raise ValueError("run_experiment needs two distinct strategies")
-    result = ExperimentResult(
-        strategy_a=a,
-        strategy_b=b,
-        fairness=fairness,
-        records_a=[],
-        records_b=[],
-        verdicts=[],
-        commits_considered=0,
-        commits_eligible=0,
-        ineligible_reasons=Counter(),
-        errors=[],
-        repo_label=repo_label or graph.label,
-    )
-    for commit in ancestors_first_parent(graph, graph.head):
-        result.commits_considered += 1
-        try:
-            prepared = _prepare_commit(graph, commit, strategies, config)
-            reason = _eligibility_reason(prepared, strategies)
-            if reason is not None:
-                result.ineligible_reasons[reason] += 1
-                continue
-            result.commits_eligible += 1
-            for i, case in enumerate(prepared.cases):
-                rec_a = prepared.runs[(i, a)].recommendation
-                rec_b = prepared.runs[(i, b)].recommendation
-                if fairness:
-                    cut = min(len(rec_a.entries), len(rec_b.entries))
-                    rec_a, rec_b = _truncate(rec_a, cut), _truncate(rec_b, cut)
-                row_a = _record(case, a, rec_a, prepared.runs[(i, a)])
-                row_b = _record(case, b, rec_b, prepared.runs[(i, b)])
-                result.records_a.append(row_a)
-                result.records_b.append(row_b)
-                result.verdicts.append(pairwise_verdict(row_a, row_b))
-        except Exception as exc:  # keep going; the report names the commit
-            result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
+    result = ExperimentResult(a, b, fairness, repo_label=repo_label or graph.label)
+    for case, run_a, run_b in _eligible_cases(graph, strategies, config, result):
+        row_a, row_b = _paired_records(case, strategies, (run_a, run_b), fairness)
+        result.records_a.append(row_a)
+        result.records_b.append(row_b)
+        result.verdicts.append(pairwise_verdict(row_a, row_b))
     return result
 
-
-def _record(
-    case: TestCase,
-    strategy: Strategy,
-    recommendation: Recommendation,
-    run: PipelineRun,
-) -> EvaluationRecord:
-    outcome, rank, ap = classify(recommendation, case)
-    return EvaluationRecord(
-        test_case=case,
-        strategy=strategy,
-        outcome=outcome,
-        oracle_rank=rank,
-        average_precision=ap,
-        n_recommendations=len(recommendation.entries),
-        n_rules=len(run.rules),
-    )

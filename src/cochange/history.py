@@ -230,6 +230,11 @@ class CommitGraph:
                     kids[p].append(cid)
         return {cid: tuple(sorted(v)) for cid, v in kids.items()}
 
+    @cached_property
+    def _branch_commits(self) -> dict[str, frozenset[str]]:
+        """Memo for ``branch_commits``; exact because the graph is immutable."""
+        return {}
+
 
 def _reachable(graph: CommitGraph, start: str) -> set[str]:
     """Ancestors of ``start`` including itself, boundary edges not crossed."""
@@ -354,6 +359,9 @@ def branch_commits(graph: CommitGraph, merge: str) -> frozenset[str]:
     themselves are never included.  Disjoint histories contribute
     nothing (``merge_base`` returning None is the diagnostic).
     """
+    memo = graph._branch_commits
+    if merge in memo:
+        return memo[merge]
     top = graph.commit(merge)
     if not top.is_merge:
         raise ValueError(f"branch_commits requires a merge commit: {merge}")
@@ -388,7 +396,8 @@ def branch_commits(graph: CommitGraph, merge: str) -> frozenset[str]:
                     if parents and parents[0] in graph.commits
                     else None
                 )
-    return frozenset(result)
+    memo[merge] = frozenset(result)
+    return memo[merge]
 
 
 def branch_length(graph: CommitGraph, merge: str) -> int:

@@ -71,6 +71,12 @@ def _snapshot_json(raw: str, line_no: int) -> dict:
     return value
 
 
+def _list_of(kind: type, value, what: str, line_no: int) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise SnapshotError(f"{what} must be a list of {kind.__name__}", line_no)
+    return value
+
+
 def load_snapshot(path: str | Path) -> CommitGraph:
     """Parse and fully validate a snapshot file."""
     try:
@@ -90,7 +96,9 @@ def load_snapshot(path: str | Path) -> CommitGraph:
             f"expected {FORMAT_VERSION}",
             1,
         )
-    boundaries = frozenset(header["boundaries"])
+    if not isinstance(header["head"], str):
+        raise SnapshotError("head must be a string", 1)
+    boundaries = frozenset(_list_of(str, header["boundaries"], "boundaries", 1))
     commits: dict[str, Commit] = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -105,7 +113,8 @@ def load_snapshot(path: str | Path) -> CommitGraph:
             raise SnapshotError(str(exc), line_no) from None
         if cid in commits:
             raise SnapshotError(f"duplicate commit {cid}", line_no)
-        parents = list(rec["parents"])
+        parents = _list_of(str, rec["parents"], f"commit {cid}: parents", line_no)
+        files = _list_of(str, rec["files"], f"commit {cid}: files", line_no)
         for p in parents:
             if p not in commits and p not in boundaries:
                 raise SnapshotError(
@@ -116,12 +125,16 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         if not isinstance(rec["ts"], int) or isinstance(rec["ts"], bool):
             raise SnapshotError(f"commit {cid} has a non-integer ts", line_no)
         merge_eq = rec.get("merge_eq") or {}
+        if not isinstance(merge_eq, dict):
+            raise SnapshotError(f"commit {cid}: merge_eq must be an object", line_no)
+        for f, flags in merge_eq.items():
+            _list_of(bool, flags, f"commit {cid}: merge_eq[{f!r}]", line_no)
         try:
             commit = Commit(
                 id=cid,
                 parents=tuple(parents),
                 author_timestamp=rec["ts"],
-                changeset=frozenset(rec["files"]),
+                changeset=frozenset(files),
                 merge_eq=(
                     {f: tuple(v) for f, v in merge_eq.items()}
                     if len(parents) >= 2

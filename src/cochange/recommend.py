@@ -191,8 +191,10 @@ def recommend(
     return _run_pipeline(walk, query, strategy, config).recommendation
 
 
-def _truncate(rec: Recommendation, size: int) -> Recommendation:
-    return replace(rec, entries=rec.entries[:size])
+def _fair_pair(*recs: Recommendation) -> tuple[Recommendation, ...]:
+    """The recommendations truncated to the shortest entry list."""
+    cut = min(len(rec.entries) for rec in recs)
+    return tuple(replace(rec, entries=rec.entries[:cut]) for rec in recs)
 
 
 def paired_recommend(
@@ -213,6 +215,5 @@ def paired_recommend(
     rec_a = recommend(graph, query, a, config)
     rec_b = recommend(graph, query, b, config)
     if fairness:
-        cut = min(len(rec_a.entries), len(rec_b.entries))
-        rec_a, rec_b = _truncate(rec_a, cut), _truncate(rec_b, cut)
+        rec_a, rec_b = _fair_pair(rec_a, rec_b)
     return rec_a, rec_b

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from cochange import (
     CauseAttributionError,
     CochangeMode,
     Cohort,
+    Collector,
     PairedVerdict,
+    Query,
     RecommenderConfig,
     Strategy,
     TestCase as EvalCase,
@@ -15,20 +18,31 @@ from cochange import (
     branch_info,
     cochange_study,
     cochanged_files,
-    commit_cap_filter,
+    collect_commits,
     diagnose_causes,
     eligible_merges_for_cochange,
-    fp_collection_size,
     future_oracle,
     precision,
+    run_experiment,
     sample_heavy_merges,
+    save_snapshot,
     winner_rate_table,
 )
+from cochange.branches import median_cap
+from cochange.cli import main
 
 from conftest import build_graph, hid, mk_commit
+from synthgen import generic_graph
 
 CONFIG = RecommenderConfig()
 FULL_VS_FP = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
+
+
+def diagnose(graph, case, strategies=FULL_VS_FP):
+    """diagnose_causes on the two strategies' collections for ``case``."""
+    query = Query(case.query, case.commit)
+    db_a, db_b = (collect_commits(graph, query, s, CONFIG) for s in strategies)
+    return diagnose_causes(graph, case, db_a, db_b)
 
 
 def clean_merge(tag, parents, ts, files):
@@ -105,7 +119,7 @@ def mk_diag(i, value, n_causes=1, characteristic="branch_length"):
 class TestDiagnoseCauses:
     def test_single_clean_merge_blamed(self, merge_graph):
         case = EvalCase(hid("H"), frozenset({"b.txt"}), "d.txt")
-        d = diagnose_causes(merge_graph, case, FULL_VS_FP, CONFIG)
+        d = diagnose(merge_graph, case)
         assert d.causing_merges == {hid("E")}
         assert d.n_causing == 1
         assert d.max_branch_length == 2
@@ -113,12 +127,12 @@ class TestDiagnoseCauses:
 
     def test_identical_collections_mean_no_diagnosis(self, linear_graph):
         case = EvalCase(hid("L5"), frozenset({"a"}), "b")
-        assert diagnose_causes(linear_graph, case, FULL_VS_FP, CONFIG) is None
+        assert diagnose(linear_graph, case) is None
 
     def test_two_independent_merges_both_blamed(self):
         g = two_merge_graph()
         case = EvalCase(hid("T"), frozenset({"p"}), "w")
-        d = diagnose_causes(g, case, FULL_VS_FP, CONFIG)
+        d = diagnose(g, case)
         assert d.causing_merges == {hid("M1"), hid("M2")}
         assert d.n_causing == 2
         assert d.max_branch_length == 1
@@ -127,7 +141,7 @@ class TestDiagnoseCauses:
     def test_merge_entry_membership_is_a_cause(self, conflict_merge_graph):
         case = EvalCase(hid("H"), frozenset({"res.txt"}), "d.txt")
         pair = (Strategy.FIRST_PARENT_NO_MERGE, Strategy.FIRST_PARENT_MERGE)
-        d = diagnose_causes(conflict_merge_graph, case, pair, CONFIG)
+        d = diagnose(conflict_merge_graph, case, pair)
         assert d.causing_merges == {hid("E")}
         assert d.max_merge_size == 3
 
@@ -136,7 +150,7 @@ class TestDiagnoseCauses:
         case = EvalCase(hid("H"), frozenset({"b.txt"}), "d.txt")
         reversed_pair = (Strategy.FIRST_PARENT_NO_MERGE, Strategy.FULL)
         with pytest.raises(CauseAttributionError):
-            diagnose_causes(merge_graph, case, reversed_pair, CONFIG)
+            diagnose(merge_graph, case, reversed_pair)
 
 
 class TestWinnerRateTable:
@@ -207,26 +221,71 @@ class TestWinnerRateTable:
             winner_rate_table(cases, "branch_length", Cohort.SINGLE, n_bins=0)
 
 
+class TestMedianCap:
+    def test_odd_count_takes_the_middle(self):
+        assert median_cap([6, 2, 4]) == 4
+
+    def test_even_count_rounds_the_mean_up(self):
+        assert median_cap([2, 5]) == 4
+        assert median_cap([6, 2, 4, 8]) == 5
+
+    def test_no_sizes_means_no_cap(self):
+        assert median_cap([]) is None
+
+
 class TestCollectionFilters:
-    def case(self, tag, query=("a",)):
-        return EvalCase(hid(tag), frozenset(query), "zz")
+    """``analyze-branches --cap`` against first-parent collection sizes
+    recomputed with ``collect_commits`` for every evaluated case."""
 
-    def test_fp_collection_size(self, linear_graph):
-        assert fp_collection_size(linear_graph, self.case("L6"), CONFIG) == 6
-        assert fp_collection_size(linear_graph, self.case("L2"), CONFIG) == 2
+    CONFIG = RecommenderConfig(collector=Collector.PER_FILE_SLICE)
 
-    def test_cap_keeps_small_collections(self, linear_graph):
-        cases = [self.case("L6"), self.case("L2")]
-        kept = commit_cap_filter(cases, linear_graph, CONFIG, cap=3)
-        assert kept == [self.case("L2")]
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        graph = generic_graph(seed=7, n_commits=70)
+        snap = tmp_path_factory.mktemp("caps") / "snap.jsonl"
+        save_snapshot(graph, snap)
+        pair = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
+        result = run_experiment(graph, pair, self.CONFIG, False)
+        sizes = [
+            len(collect_commits(
+                graph,
+                Query(r.test_case.query, r.test_case.commit),
+                Strategy.FIRST_PARENT_MERGE,
+                self.CONFIG,
+            ))
+            for r in result.records_a
+        ]
+        return str(snap), sizes
 
-    def test_cap_none_keeps_everything(self, linear_graph):
-        cases = [self.case("L6"), self.case("L2")]
-        assert commit_cap_filter(cases, linear_graph, CONFIG, None) == cases
+    def cases_after_cap(self, snap, out, cap):
+        code = main(
+            ["analyze-branches", "--snapshot", snap, "--out", str(out),
+             "--cap", cap]
+        )
+        assert code == 0
+        return json.loads((out / "branch_analysis.json").read_text())[
+            "cases_after_cap"
+        ]
 
-    def test_cap_zero_drops_everything_nonempty(self, linear_graph):
-        cases = [self.case("L6"), self.case("L2")]
-        assert commit_cap_filter(cases, linear_graph, CONFIG, 0) == []
+    def test_cap_keeps_small_collections(self, corpus, tmp_path):
+        snap, sizes = corpus
+        expected = sum(size <= 3 for size in sizes)
+        assert 0 < expected < len(sizes)
+        assert self.cases_after_cap(snap, tmp_path, "3") == expected
+
+    def test_median_cap_uses_first_parent_sizes(self, corpus, tmp_path):
+        snap, sizes = corpus
+        cap = median_cap(sizes)
+        expected = sum(size <= cap for size in sizes)
+        assert self.cases_after_cap(snap, tmp_path, "median") == expected
+
+    def test_cap_none_keeps_everything(self, corpus, tmp_path):
+        snap, sizes = corpus
+        assert self.cases_after_cap(snap, tmp_path, "none") == len(sizes)
+
+    def test_cap_zero_drops_everything_nonempty(self, corpus, tmp_path):
+        snap, sizes = corpus
+        assert self.cases_after_cap(snap, tmp_path, "0") == sizes.count(0)
 
 
 class TestEligibleMerges:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from cochange import save_snapshot
 from cochange.cli import OUTPUT_DIR_ENV, main
 
 from conftest import build_graph, hid, mk_commit
+from synthgen import generic_graph
 
 
 def clean_merge(tag, parents, ts, files):
@@ -271,9 +273,27 @@ class TestEvaluate:
     def test_collector_override_needs_consent(self, tmp_path, capsys):
         snap = snap_of(branchy_graph(), tmp_path)
         code = self.run_eval(snap, tmp_path / "out", "--collector",
-                             "per-file-slice")
+                             "per-file")
         assert code == 1
         assert "collector" in capsys.readouterr().err
+
+    def test_config_file_collector_needs_consent(self, tmp_path, capsys):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"collector": "sequential"}))
+        args = ["evaluate", "--snapshot", snap, "--pair", "full,fp-merge",
+                "--out", str(out)]
+        assert main([*args, "--collector", "sequential"]) == 1
+        flag_error = capsys.readouterr().err
+        assert "collector contradict" in flag_error
+
+        assert main([*args, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == flag_error
+
+        assert main([*args, "--config", str(cfg), "--unsafe-override"]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["settings"]["recommender"]["collector"] == "sequential"
 
     def test_merge_profile_defaults(self, tmp_path):
         snap = snap_of(branchy_graph(), tmp_path)
@@ -358,6 +378,30 @@ class TestConfigPrecedence:
         cfg.write_text("[1, 2]")
         assert self.recommend(snap, "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_rules", [1]),
+            ("max_rules", True),
+            ("max_commits", 2.5),
+            ("max_changeset_size", "10"),
+            ("minsup", "abc"),
+            ("minsup", False),
+            ("minconf", [0.5]),
+            ("minconf", "1/0"),
+            ("collector", "bogus"),
+            ("collector", 1),
+        ],
+    )
+    def test_malformed_value_names_the_key(self, tmp_path, capsys, key, value):
+        snap = snap_of(coupled_graph(), tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert self.recommend(snap, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyzeBranches:
     EXPECTED = [
@@ -397,6 +441,71 @@ class TestAnalyzeBranches:
         assert code == 0
         analysis = json.loads((out / "branch_analysis.json").read_text())
         assert analysis["cases_after_cap"] == 3
+
+    # sha256 of every output except run_metadata.json, in name order,
+    # recorded from the implementation that re-walked every case's
+    # collections; the single evaluation pass must reproduce them.
+    GOLDEN = {
+        (7, 70, "none"): (
+            "dd906fde147ad4310b3ed9222fd9990090218ab027c14ab19ce23621e6644c34",
+            "9b030a3b3b310dc7ffcfd966513542d60bc5f08bcab5f7fe8666fbe529c5ebc5",
+            "f3d957ae666357ff4d3dda694d1126bf118c674b90fd29b32d13ab0a23387556",
+            "0e09266b2d911dd60d847c71610742fe8c9c559307346dd2ac06fac83ef9c862",
+            "571b5023297630b6067340f487104e00b35a77a21e59894513450fa0df59428b",
+        ),
+        (7, 70, "median"): (
+            "3a578eaa41364da9854fd14567c613d4bf91727c7e341492b97bac3aa5ef4c87",
+            "9b030a3b3b310dc7ffcfd966513542d60bc5f08bcab5f7fe8666fbe529c5ebc5",
+            "5c7f886b1e9a5978b52568a21c27adeee8fe88a77e526de0ca360a4c34bfc378",
+            "0e09266b2d911dd60d847c71610742fe8c9c559307346dd2ac06fac83ef9c862",
+            "7f6e25b3500c4c93375fd71b4d5db651e9987c69c4650ea6fc64a9343dbc198c",
+        ),
+        (7, 70, "3"): (
+            "c57fc4d9e6a20cbbf5e12e6f7b296eb6c74095a9483270cd0a4cf4f8a3da8898",
+            "9b030a3b3b310dc7ffcfd966513542d60bc5f08bcab5f7fe8666fbe529c5ebc5",
+            "301aa97c83fff69e30e83a76ac361084aaa8431b9f504bc449a37dfe9a3880ae",
+            "0e09266b2d911dd60d847c71610742fe8c9c559307346dd2ac06fac83ef9c862",
+            "8abcdceb170472b28dd5325bdf2098a889d6b6cf412e475794e954d29a7edc24",
+        ),
+        (5, 50, "none"): (
+            "af8ff35bc273cba9e40437948e9c74cedaa3c6bdab8a5bad01ac22579d9116e4",
+            "fd3cd1c15ae22976cb2cedb9d52552f3070d75e24f827b236c3596c283040fc8",
+            "519d96ae4dda319da2bf32bf996ac218c493ca72742f9f50c3d9c9e7f726386a",
+            "f837e6b7f264d646aee2251a9e1ec3f8f9175d91d5eccfa883bf5b1e1965b1fe",
+            "3ce60f8510d9391cd049846e26f862738a70ee9b82a54ebc5b18a2adb4c93c5a",
+        ),
+        (5, 50, "median"): (
+            "edd8c8a74fe268b3d34ebe464317a3dacd7116404561d3a6b102a149cc4a0555",
+            "fd3cd1c15ae22976cb2cedb9d52552f3070d75e24f827b236c3596c283040fc8",
+            "4cca593f82092f4a28a8f34623ed49249c98be2b9690fbb47c41f7a17706f0b2",
+            "f837e6b7f264d646aee2251a9e1ec3f8f9175d91d5eccfa883bf5b1e1965b1fe",
+            "aaca639667931e9f85bbdd6d423961526797ccbf9077d4ec801d85a9385f85e5",
+        ),
+        (5, 50, "3"): (
+            "e728c3560d5f962e40580754f4366755109e755b3039c601c11cf6de2839326c",
+            "301aa97c83fff69e30e83a76ac361084aaa8431b9f504bc449a37dfe9a3880ae",
+            "575b872577b824438f1d79e004949d2381631328dc7e8e91d02c4eafd65e14eb",
+            "11c64b4b2399637b31ba2dea50756ca2e83471063b5746ef91396c0eadf4a443",
+            "bfc19ed2b513fcded92d99d917a232e2dd7772fe6687088d278e844e21209273",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, n_commits", [(7, 70), (5, 50)])
+    def test_outputs_match_golden_hashes(self, tmp_path, seed, n_commits):
+        snap = snap_of(generic_graph(seed, n_commits), tmp_path)
+        for cap in ("none", "median", "3"):
+            out = tmp_path / cap
+            code = main(
+                ["analyze-branches", "--snapshot", snap, "--out", str(out),
+                 "--cap", cap, "--multi-threshold", "3"]
+            )
+            assert code == 0
+            digests = tuple(
+                hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in sorted(self.EXPECTED)
+                if name != "run_metadata.json"
+            )
+            assert digests == self.GOLDEN[(seed, n_commits, cap)], cap
 
     def test_bad_cap_is_usage_error(self, tmp_path):
         snap = snap_of(branchy_graph(), tmp_path)

@@ -309,6 +309,7 @@ class TestBranchCommits:
                     if not g.commits[x].is_merge
                 }
                 assert branch_commits(g, cid) == expected
+                assert branch_commits(g, cid) == expected  # from the memo
 
     def test_requires_merge(self, merge_graph):
         with pytest.raises(ValueError):

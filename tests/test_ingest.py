@@ -300,3 +300,31 @@ class TestSnapshotValidation:
                 break
         with pytest.raises(SnapshotError):
             load_snapshot(write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "record, key, value",
+        [
+            ("header", "head", [1]),
+            ("header", "boundaries", "ab"),
+            ("header", "boundaries", [1]),
+            ("root", "files", "ab"),
+            ("root", "files", [["a"]]),
+            ("child", "parents", "ab"),
+            ("merge", "merge_eq", [1]),
+            ("merge", "merge_eq", {"x": "ab"}),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(
+        self, merge_graph, tmp_path, record, key, value
+    ):
+        records = [json.loads(raw) for raw in lines_of(merge_graph, tmp_path)]
+        merge = next(
+            i for i, r in enumerate(records) if len(r.get("parents", ())) == 2
+        )
+        index = {"header": 0, "root": 1, "child": 2, "merge": merge}[record]
+        records[index][key] = value
+        path = write_lines(tmp_path, [json.dumps(r) for r in records])
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(path)
+        assert exc.value.line == index + 1
+        assert "must" in str(exc.value)
