@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unsafe-override", action="store_true",
                    help="allow overriding profile-bound settings")
     p.add_argument("--out", default=None, help="output directory")
-    _add_config_flags(p, collector=True)
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze-branches",
@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=100,
                    help="future commits to score against (default 100)")
     p.add_argument("--out", default=None, help="output directory")
-    _add_config_flags(p)
+    p.add_argument("--config", default=None,
+                   help="JSON config file (only output_dir is read)")
     p.set_defaults(func=_cmd_analyze_cochange)
 
     p = sub.add_parser("sample-merges",
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=40, help="sample size (default 40)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--out", default=None, help="output directory")
-    _add_config_flags(p)
+    p.add_argument("--config", default=None,
+                   help="JSON config file (only output_dir is read)")
     p.set_defaults(func=_cmd_sample_merges)
 
     p = sub.add_parser("report", help="render summary JSON files as tables")
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser, collector: bool = False) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="JSON config file; explicit flags take precedence")
     p.add_argument("--minsup", type=_fraction, default=None)
@@ -198,11 +200,8 @@ def _add_config_flags(p: argparse.ArgumentParser, collector: bool = False) -> No
     p.add_argument("--max-commits", type=int, default=None)
     p.add_argument("--max-changeset-size", type=int, default=None)
     p.add_argument("--max-rules", type=int, default=None)
-    if collector:
-        p.add_argument("--collector", choices=sorted(_COLLECTORS), default=None,
-                       help="override the profile's collector")
-    else:
-        p.add_argument("--collector", choices=sorted(_COLLECTORS), default=None)
+    p.add_argument("--collector", choices=sorted(_COLLECTORS), default=None,
+                   help="override the default or profile collector")
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -64,6 +64,12 @@ class Commit:
     (all files introduced, for parentless commits).  Merge commits carry
     ``merge_eq``: for every changed file, one boolean per parent telling
     whether the file content in the merge equals that parent's content.
+
+    Construction validates the commit and raises ValueError if it is
+    malformed: ids must be 40-hex, parents distinct, the timestamp an
+    int (not a bool), paths repository-relative, and the flags must
+    cover exactly the changeset with one flag per parent, the first one
+    False.  Non-merges carry no flags (``merge_eq`` is None).
     """
 
     id: str
@@ -75,12 +81,39 @@ class Commit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "changeset", frozenset(self.changeset))
-        if self.merge_eq is not None:
-            object.__setattr__(
-                self,
-                "merge_eq",
-                {f: tuple(bool(x) for x in v) for f, v in self.merge_eq.items()},
+        cid = validate_commit_id(self.id)
+        for p in self.parents:
+            validate_commit_id(p)
+        if len(set(self.parents)) != len(self.parents):
+            raise ValueError(f"commit {cid} lists a duplicate parent")
+        ts = self.author_timestamp
+        if not isinstance(ts, int) or isinstance(ts, bool):
+            raise ValueError(f"commit {cid} has a non-integer timestamp")
+        for f in self.changeset:
+            validate_file_path(f)
+        if not self.is_merge:
+            if self.merge_eq:
+                raise ValueError(f"non-merge {cid} carries equality flags")
+            object.__setattr__(self, "merge_eq", None)
+            return
+        eq = {f: tuple(bool(x) for x in v) for f, v in (self.merge_eq or {}).items()}
+        if set(eq) != self.changeset:
+            raise ValueError(
+                f"merge {cid}: per-parent equality flags must cover "
+                "exactly the changed files"
             )
+        for f, flags in eq.items():
+            if len(flags) != len(self.parents):
+                raise ValueError(
+                    f"merge {cid}: equality flags for {f!r} do not "
+                    "match the parent count"
+                )
+            if flags[0]:
+                raise ValueError(
+                    f"merge {cid}: {f!r} is in the changeset but "
+                    "flagged equal to the first parent"
+                )
+        object.__setattr__(self, "merge_eq", eq)
 
     @property
     def is_merge(self) -> bool:
@@ -144,42 +177,14 @@ class CommitGraph:
         if self.boundaries & self.commits.keys():
             raise ValueError("boundary ids must not also be present commits")
         for cid, c in self.commits.items():
-            validate_commit_id(cid)
             if c.id != cid:
                 raise ValueError(f"commit keyed as {cid} has id {c.id}")
-            if len(set(c.parents)) != len(c.parents):
-                raise ValueError(f"commit {cid} lists a duplicate parent")
             for p in c.parents:
-                validate_commit_id(p)
                 if p not in self.commits and p not in self.boundaries:
                     raise ValueError(
                         f"commit {cid} references unknown parent {p} "
                         "(not a commit, not a boundary)"
                     )
-            if not isinstance(c.author_timestamp, int):
-                raise ValueError(f"commit {cid} has a non-integer timestamp")
-            for f in c.changeset:
-                validate_file_path(f)
-            eq = c.merge_eq or {}
-            if c.is_merge:
-                if set(eq) != set(c.changeset):
-                    raise ValueError(
-                        f"merge {cid}: per-parent equality flags must cover "
-                        "exactly the changed files"
-                    )
-                for f, flags in eq.items():
-                    if len(flags) != len(c.parents):
-                        raise ValueError(
-                            f"merge {cid}: equality flags for {f!r} do not "
-                            "match the parent count"
-                        )
-                    if flags[0]:
-                        raise ValueError(
-                            f"merge {cid}: {f!r} is in the changeset but "
-                            "flagged equal to the first parent"
-                        )
-            elif eq:
-                raise ValueError(f"non-merge {cid} carries equality flags")
         if len(self._topo_newest_first) != len(self.commits):
             raise ValueError("commit graph contains a cycle")
 
@@ -296,8 +301,7 @@ def additional_changes(graph: CommitGraph, merge: str) -> frozenset[str]:
     c = graph.commit(merge)
     if not c.is_merge:
         raise ValueError(f"additional_changes requires a merge commit: {merge}")
-    eq = c.merge_eq or {}
-    return frozenset(f for f in c.changeset if not any(eq[f]))
+    return frozenset(f for f in c.changeset if not any(c.merge_eq[f]))
 
 
 def strategy_walk(
@@ -381,7 +385,7 @@ def branch_commits(graph: CommitGraph, merge: str) -> frozenset[str]:
         for side in mc.parents[1:]:
             if side not in graph.commits:
                 continue
-            if merge_base(graph, fp, side) is None:
+            if stop.isdisjoint(_reachable(graph, side)):
                 continue
             cur: str | None = side
             while cur is not None and cur not in stop:

@@ -11,7 +11,7 @@ import json
 import subprocess
 from pathlib import Path
 
-from .history import Commit, CommitGraph, validate_commit_id, validate_file_path
+from .history import Commit, CommitGraph
 
 FORMAT_VERSION = 1
 
@@ -66,6 +66,8 @@ def _snapshot_json(raw: str, line_no: int) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"invalid JSON ({exc.msg})", line_no) from None
+    except (ValueError, RecursionError) as exc:  # over-long int, deep nesting
+        raise SnapshotError(f"invalid JSON ({exc})", line_no) from None
     if not isinstance(value, dict):
         raise SnapshotError("expected a JSON object", line_no)
     return value
@@ -80,9 +82,15 @@ def _list_of(kind: type, value, what: str, line_no: int) -> list:
 def load_snapshot(path: str | Path) -> CommitGraph:
     """Parse and fully validate a snapshot file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(
+            f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1
+        ) from None
     lines = text.splitlines()
     if not lines:
         raise SnapshotError("snapshot is empty", 1)
@@ -90,11 +98,10 @@ def load_snapshot(path: str | Path) -> CommitGraph:
     for key in ("format_version", "repo_label", "head", "boundaries"):
         if key not in header:
             raise SnapshotError(f"header is missing {key!r}", 1)
-    if header["format_version"] != FORMAT_VERSION:
+    version = header["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:
         raise SnapshotError(
-            f"unsupported format_version {header['format_version']!r}, "
-            f"expected {FORMAT_VERSION}",
-            1,
+            f"unsupported format_version {version!r}, expected {FORMAT_VERSION}", 1
         )
     if not isinstance(header["head"], str):
         raise SnapshotError("head must be a string", 1)
@@ -107,14 +114,22 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         for key in ("id", "parents", "ts", "files"):
             if key not in rec:
                 raise SnapshotError(f"record is missing {key!r}", line_no)
+        parents = _list_of(str, rec["parents"], "parents", line_no)
+        files = _list_of(str, rec["files"], "files", line_no)
+        merge_eq = rec.get("merge_eq") or {}
+        if not isinstance(merge_eq, dict):
+            raise SnapshotError("merge_eq must be an object", line_no)
+        for f, flags in merge_eq.items():
+            _list_of(bool, flags, f"merge_eq[{f!r}]", line_no)
         try:
-            cid = validate_commit_id(rec["id"])
+            commit = Commit(
+                rec["id"], tuple(parents), rec["ts"], frozenset(files), merge_eq
+            )
         except ValueError as exc:
             raise SnapshotError(str(exc), line_no) from None
+        cid = commit.id
         if cid in commits:
             raise SnapshotError(f"duplicate commit {cid}", line_no)
-        parents = _list_of(str, rec["parents"], f"commit {cid}: parents", line_no)
-        files = _list_of(str, rec["files"], f"commit {cid}: files", line_no)
         for p in parents:
             if p not in commits and p not in boundaries:
                 raise SnapshotError(
@@ -122,31 +137,6 @@ def load_snapshot(path: str | Path) -> CommitGraph:
                     "appeared earlier nor is a boundary",
                     line_no,
                 )
-        if not isinstance(rec["ts"], int) or isinstance(rec["ts"], bool):
-            raise SnapshotError(f"commit {cid} has a non-integer ts", line_no)
-        merge_eq = rec.get("merge_eq") or {}
-        if not isinstance(merge_eq, dict):
-            raise SnapshotError(f"commit {cid}: merge_eq must be an object", line_no)
-        for f, flags in merge_eq.items():
-            _list_of(bool, flags, f"commit {cid}: merge_eq[{f!r}]", line_no)
-        try:
-            commit = Commit(
-                id=cid,
-                parents=tuple(parents),
-                author_timestamp=rec["ts"],
-                changeset=frozenset(files),
-                merge_eq=(
-                    {f: tuple(v) for f, v in merge_eq.items()}
-                    if len(parents) >= 2
-                    else None
-                ),
-            )
-            for f in commit.changeset:
-                validate_file_path(f)
-            if len(parents) < 2 and merge_eq:
-                raise ValueError("non-merge record carries merge_eq entries")
-        except ValueError as exc:
-            raise SnapshotError(str(exc), line_no) from None
         commits[cid] = commit
     if not commits:
         raise SnapshotError("snapshot contains no commits", 1)

@@ -548,6 +548,27 @@ class TestAnalyzeCochange:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-cochange", "--minsup", "1/2"],
+            ["sample-merges", "--collector", "per-file"],
+        ],
+    )
+    def test_recommender_flags_are_not_accepted(self, tmp_path, argv):
+        snap = snap_of(study_graph(), tmp_path)
+        code = main([*argv, "--snapshot", snap, "--out", str(tmp_path / "o")])
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["analyze-cochange", "sample-merges"])
+    def test_config_file_sets_output_dir(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        snap = snap_of(study_graph(), tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "from-config")}))
+        assert main([command, "--snapshot", snap, "--config", str(cfg)]) == 0
+        assert (tmp_path / "from-config" / "run_metadata.json").exists()
+
 
 class TestSampleMerges:
     def test_sampled_rows(self, tmp_path, capsys):

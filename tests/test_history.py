@@ -67,12 +67,22 @@ class TestValidation:
             self.graph_with_merge(["x"], {"x": (True, True)})
 
     def test_non_merge_cannot_carry_merge_eq(self):
-        commits = [
-            mk_commit("A", [], 1, ["x"]),
-            mk_commit("N", ["A"], 2, ["x"], {"x": (False,)}),
-        ]
         with pytest.raises(ValueError):
-            build_graph(commits, "N")
+            build_graph(
+                [
+                    mk_commit("A", [], 1, ["x"]),
+                    mk_commit("N", ["A"], 2, ["x"], {"x": (False,)}),
+                ],
+                "N",
+            )
+
+    def test_commit_rejects_boolean_timestamp(self):
+        with pytest.raises(ValueError, match="non-integer timestamp"):
+            Commit(hid("A"), (), True, frozenset({"a"}))
+
+    def test_commit_rejects_duplicate_parent(self):
+        with pytest.raises(ValueError, match="duplicate parent"):
+            Commit(hid("M"), (hid("A"), hid("A")), 2, frozenset())
 
     def test_graph_rejects_unknown_head(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
+    CommitGraph,
     IngestError,
     SnapshotError,
     additional_changes,
@@ -13,6 +15,7 @@ from cochange import (
 )
 
 from conftest import GitSandbox, run_git
+from synthgen import generic_graph
 
 
 def lines_of(graph, tmp_path):
@@ -197,6 +200,20 @@ class TestSnapshotValidation:
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            pytest.param("1" * 5000, id="over-long-integer"),
+        ],
+    )
+    def test_unparseable_json_names_the_line(self, merge_graph, tmp_path, raw):
+        lines = lines_of(merge_graph, tmp_path)
+        lines[2] = raw
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(write_lines(tmp_path, lines))
+        assert exc.value.line == 3
+
     def test_header_must_be_complete(self, merge_graph, tmp_path):
         lines = lines_of(merge_graph, tmp_path)
         header = json.loads(lines[0])
@@ -298,8 +315,53 @@ class TestSnapshotValidation:
                 rec["merge_eq"] = {}
                 lines[i] = json.dumps(rec)
                 break
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError) as exc:
             load_snapshot(write_lines(tmp_path, lines))
+        assert exc.value.line == i + 1
+
+    @pytest.mark.parametrize(
+        "record, edit",
+        [
+            ("merge", "flags-missing-a-file"),
+            ("merge", "flags-with-an-extra-file"),
+            ("merge", "wrong-flag-count"),
+            ("merge", "first-flag-true"),
+            ("merge", "duplicate-parent"),
+            ("child", "non-utf8"),
+            ("child", "list-as-id"),
+            ("header", "format-version-true"),
+        ],
+    )
+    def test_record_error_names_its_line(self, merge_graph, tmp_path, record, edit):
+        records = [json.loads(raw) for raw in lines_of(merge_graph, tmp_path)]
+        merge = next(
+            i for i, r in enumerate(records) if len(r.get("parents", ())) == 2
+        )
+        index = {"header": 0, "child": 2, "merge": merge}[record]
+        rec = records[index]
+        first = rec.get("files", [None])[0]
+        if edit == "flags-missing-a-file":
+            del rec["merge_eq"][first]
+        elif edit == "flags-with-an-extra-file":
+            rec["merge_eq"]["z.txt"] = [False, True]
+        elif edit == "wrong-flag-count":
+            rec["merge_eq"][first].append(True)
+        elif edit == "first-flag-true":
+            rec["merge_eq"][first][0] = True
+        elif edit == "duplicate-parent":
+            rec["parents"][1] = rec["parents"][0]
+        elif edit == "non-utf8":
+            rec["files"].append("x\udcff")  # written as the raw byte 0xff
+        elif edit == "list-as-id":
+            rec["id"] = [1]
+        else:
+            rec["format_version"] = True
+        path = tmp_path / "mutated.jsonl"
+        text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(path)
+        assert exc.value.line == index + 1
 
     @pytest.mark.parametrize(
         "record, key, value",
@@ -328,3 +390,59 @@ class TestSnapshotValidation:
             load_snapshot(path)
         assert exc.value.line == index + 1
         assert "must" in str(exc.value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_snapshot(tmp_path_factory):
+    graph = generic_graph(seed=1, n_commits=16)
+    assert any(c.is_merge for c in graph.commits.values())
+    directory = tmp_path_factory.mktemp("mutations")
+    save_snapshot(graph, directory / "base.jsonl")
+    return directory, (directory / "base.jsonl").read_text().splitlines()
+
+
+class TestSnapshotMutations:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_single_mutation_loads_or_raises_snapshot_error(
+        self, saved_snapshot, data
+    ):
+        directory, lines = saved_snapshot
+        lines = list(lines)
+        kind = data.draw(
+            st.sampled_from(["replace", "delete", "swap", "duplicate", "bytes"])
+        )
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind in ("replace", "delete"):
+            rec = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(rec)))
+            if kind == "replace":
+                rec[key] = data.draw(JSON_VALUES)
+            else:
+                del rec[key]
+            lines[i] = json.dumps(rec)
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        if kind == "bytes":
+            patch = data.draw(st.binary(min_size=1, max_size=4))
+            pos = data.draw(st.integers(0, len(body) - 1))
+            body = body[:pos] + patch + body[pos + len(patch):]
+        path = directory / "mutated.jsonl"
+        path.write_bytes(body)
+        try:
+            graph = load_snapshot(path)
+        except SnapshotError:
+            return
+        assert isinstance(graph, CommitGraph)
