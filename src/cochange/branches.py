@@ -18,11 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .history import (
     CommitGraph,
-    additional_changes,
     ancestors_first_parent,
     branch_commits,
     branch_length,
-    merge_base,
     merge_commit_size,
 )
 from .evaluation import PairedVerdict, TestCase, _db_fingerprint
@@ -38,26 +36,18 @@ class BranchInfo:
     """Shape of the branch joined by one merge commit."""
 
     merge: str
-    merge_base: str | None
     branch_commit_ids: frozenset[str]
     branch_length: int
     merge_size: int
-    has_additional_changes: bool
 
 
 def branch_info(graph: CommitGraph, merge: str) -> BranchInfo:
     commits = branch_commits(graph, merge)
-    parents = graph.commit(merge).parents
-    base = merge_base(graph, parents[0], parents[1]) if (
-        parents[0] in graph.commits and parents[1] in graph.commits
-    ) else None
     return BranchInfo(
         merge=merge,
-        merge_base=base,
         branch_commit_ids=commits,
         branch_length=len(commits),
         merge_size=merge_commit_size(graph, merge),
-        has_additional_changes=bool(additional_changes(graph, merge)),
     )
 
 

@@ -545,11 +545,9 @@ def _cmd_analyze_cochange(args) -> int:
     if args.horizon < 1:
         return _usage_error("--horizon must be positive")
     records, diagnostics = cochange_study(graph, args.horizon)
+    summary = precision_summary(records, diagnostics, args.horizon)
     write_precision_csv(records, out_dir / "precision.csv")
-    write_json(
-        precision_summary(records, diagnostics, args.horizon),
-        out_dir / "cochange.json",
-    )
+    write_json(summary, out_dir / "cochange.json")
     _write_metadata(
         out_dir,
         "analyze-cochange",
@@ -557,15 +555,12 @@ def _cmd_analyze_cochange(args) -> int:
         {"horizon": args.horizon},
         ["precision.csv", "cochange.json"],
     )
-    by_mode: dict[str, list] = {}
-    for record, _ in records:
-        by_mode.setdefault(record.mode.value, []).append(record.mean_precision)
     for mode in (CochangeMode.FROM_MERGE.value, CochangeMode.FROM_BRANCH.value):
-        values = by_mode.get(mode, [])
-        mean = (
-            fmt_decimal(Fraction(sum(values), len(values))) if values else "n/a"
-        )
-        print(f"{mode}: {len(values)} merges, mean precision {mean}")
+        stats = summary["modes"].get(mode, {"merges": 0, "mean_precision": None})
+        mean = stats["mean_precision"]
+        if mean is not None:
+            mean = Fraction(mean["num"], mean["den"])
+        print(f"{mode}: {stats['merges']} merges, mean precision {fmt_decimal(mean)}")
     return 0
 
 

@@ -103,8 +103,9 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         raise SnapshotError(
             f"unsupported format_version {version!r}, expected {FORMAT_VERSION}", 1
         )
-    if not isinstance(header["head"], str):
-        raise SnapshotError("head must be a string", 1)
+    for key in ("head", "repo_label"):
+        if not isinstance(header[key], str):
+            raise SnapshotError(f"{key} must be a string", 1)
     boundaries = frozenset(_list_of(str, header["boundaries"], "boundaries", 1))
     commits: dict[str, Commit] = {}
     for line_no, raw in enumerate(lines[1:], start=2):
@@ -116,7 +117,7 @@ def load_snapshot(path: str | Path) -> CommitGraph:
                 raise SnapshotError(f"record is missing {key!r}", line_no)
         parents = _list_of(str, rec["parents"], "parents", line_no)
         files = _list_of(str, rec["files"], "files", line_no)
-        merge_eq = rec.get("merge_eq") or {}
+        merge_eq = rec.get("merge_eq", {})
         if not isinstance(merge_eq, dict):
             raise SnapshotError("merge_eq must be an object", line_no)
         for f, flags in merge_eq.items():
@@ -130,6 +131,8 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         cid = commit.id
         if cid in commits:
             raise SnapshotError(f"duplicate commit {cid}", line_no)
+        if cid in boundaries:
+            raise SnapshotError(f"commit {cid} is also a boundary", line_no)
         for p in parents:
             if p not in commits and p not in boundaries:
                 raise SnapshotError(
@@ -144,16 +147,17 @@ def load_snapshot(path: str | Path) -> CommitGraph:
     if head not in commits:
         raise SnapshotError(f"head {head} is not among the commits", 1)
     try:
-        return CommitGraph(commits, head, boundaries, str(header["repo_label"]))
+        return CommitGraph(commits, head, boundaries, header["repo_label"])
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None
 
 
-def _git(repo: Path, *args: str) -> str:
+def _git(repo: Path, *args: str, stdin: str | None = None) -> str:
     cmd = ["git", "-C", str(repo), "-c", "core.quotePath=false", *args]
     try:
         proc = subprocess.run(
             cmd,
+            input=stdin,
             capture_output=True,
             text=True,
             encoding="utf-8",
@@ -169,28 +173,41 @@ def _git(repo: Path, *args: str) -> str:
     return proc.stdout
 
 
-def _changed_files_blocks(repo: Path, head: str) -> dict[str, list[str]]:
-    """Changed files per commit from one log pass.
+def _blocks(out: str) -> list[tuple[str, set[str]]]:
+    """Split ``%x01``-headed git output into (header, file names) blocks.
 
-    Merge commits list nothing here (their diffs are computed per
-    parent); parentless commits list every file they introduced.
+    git C-quotes control characters in paths, so a path is one line and
+    never holds ``\x01``.
     """
-    out = _git(
-        repo,
-        "log",
-        "--pretty=format:%x01%H",
-        "--name-only",
-        "--no-renames",
-        head,
-    )
-    blocks: dict[str, list[str]] = {}
-    for chunk in out.split("\x01"):
-        if not chunk.strip():
-            continue
-        head_line, _, rest = chunk.partition("\n")
-        files = [ln for ln in rest.splitlines() if ln]
-        blocks[head_line.strip()] = files
+    blocks = []
+    for chunk in out.split("\x01")[1:]:
+        header, _, rest = chunk.partition("\n")
+        blocks.append((header.strip(), {ln for ln in rest.splitlines() if ln}))
     return blocks
+
+
+def _parent_diffs(
+    repo: Path, pairs: list[tuple[str, str]]
+) -> dict[tuple[str, str], set[str]]:
+    """Files differing between each (commit, parent) pair, in one call.
+
+    ``diff-tree --stdin --always`` answers each input line with one block
+    in order, even for an empty diff; blocks that do not line up with
+    the pairs are an error, never silently misattributed.
+    """
+    if not pairs:
+        return {}
+    out = _git(
+        repo, "diff-tree", "--stdin", "--always", "-r", "--no-renames",
+        "--name-only", "--pretty=format:%x01%H",
+        stdin="".join(f"{cid} {p}\n" for cid, p in pairs),
+    )
+    blocks = _blocks(out)
+    if [header for header, _ in blocks] != [cid for cid, _ in pairs]:
+        raise IngestError(
+            f"git diff-tree gave {len(blocks)} blocks for {len(pairs)} parent diffs"
+        )
+    return {pair: files for pair, (_, files) in zip(pairs, blocks)}
 
 
 def _shallow_parents(repo: Path, commit: str) -> list[str]:
@@ -210,79 +227,75 @@ def ingest_repository(
 ) -> CommitGraph:
     """Read every commit reachable from ``head_ref`` into a CommitGraph.
 
-    Merge diffs are taken against the first parent; per-parent equality
-    flags are computed with one diff per parent.  In shallow clones the
-    hidden parents are recovered from the raw commit objects and flagged
-    as boundaries; a commit whose first parent lies beyond the boundary
-    keeps its full-tree file list, and files are treated as differing
-    from parents that cannot be diffed.
+    One ``git log`` pass gives every commit's parents, timestamp and
+    changeset (a merge's diff against its first parent); one batched
+    ``git diff-tree`` gives each merge's diff against its other parents,
+    from which the per-parent equality flags follow.  In shallow clones
+    the hidden parents are recovered from the raw commit objects and
+    flagged as boundaries; a commit whose first parent lies beyond the
+    boundary keeps its full-tree file list, and files are treated as
+    differing from parents that cannot be diffed.
     """
     repo = Path(path)
     if not repo.exists():
         raise IngestError(f"repository path does not exist: {repo}")
     head = _git(repo, "rev-parse", "--verify", f"{head_ref}^{{commit}}").strip()
-    meta = _git(repo, "log", "--pretty=format:%H %P %at", head)
+    log = _git(
+        repo, "log", "--diff-merges=first-parent", "--no-renames",
+        "--name-only", "--pretty=format:%x01%H %P %at", head,
+    )
     parents_of: dict[str, list[str]] = {}
     ts_of: dict[str, int] = {}
-    order: list[str] = []
-    for line in meta.splitlines():
-        parts = line.split()
-        cid, ts = parts[0], int(parts[-1])
-        parents_of[cid] = parts[1:-1]
-        ts_of[cid] = ts
-        order.append(cid)
+    files_of: dict[str, set[str]] = {}
+    for header, files in _blocks(log):
+        cid, *parents, ts = header.split()
+        parents_of[cid] = parents
+        ts_of[cid] = int(ts)
+        files_of[cid] = files
 
-    shallow = _git(repo, "rev-parse", "--is-shallow-repository").strip() == "true"
-    if shallow:
-        shallow_file = Path(
-            _git(repo, "rev-parse", "--git-path", "shallow").strip()
-        )
+    # Commits whose parents the shallow clone hides; git log listed their
+    # full tree as if they were roots.
+    clipped: set[str] = set()
+    if _git(repo, "rev-parse", "--is-shallow-repository").strip() == "true":
+        shallow_file = Path(_git(repo, "rev-parse", "--git-path", "shallow").strip())
         if not shallow_file.is_absolute():
             shallow_file = repo / shallow_file
         if shallow_file.exists():
             for cid in shallow_file.read_text().split():
                 if cid in parents_of and not parents_of[cid]:
                     parents_of[cid] = _shallow_parents(repo, cid)
+                    clipped.add(cid)
 
-    files_of = _changed_files_blocks(repo, head)
+    # Every parent of a merge that can be diffed, except a first parent
+    # whose diff git log already gave.
+    diffs = _parent_diffs(
+        repo,
+        [
+            (cid, p)
+            for cid, parents in parents_of.items()
+            if len(parents) >= 2
+            for i, p in enumerate(parents)
+            if p in parents_of and (i > 0 or cid in clipped)
+        ],
+    )
     commits: dict[str, Commit] = {}
     boundaries: set[str] = set()
-    for cid in order:
-        parents = parents_of[cid]
-        for p in parents:
-            if p not in parents_of:
-                boundaries.add(p)
+    for cid, parents in parents_of.items():
+        boundaries.update(p for p in parents if p not in parents_of)
+        changeset = files_of[cid]
+        merge_eq = None
+        if len(parents) >= 2:
+            if (cid, parents[0]) in diffs:
+                changeset = diffs[cid, parents[0]]
+            # the first flag is False by definition: a file in the
+            # changeset differs from the first parent
+            merge_eq = {
+                f: (False,) + tuple(
+                    (cid, p) in diffs and f not in diffs[cid, p] for p in parents[1:]
+                )
+                for f in changeset
+            }
         try:
-            if len(parents) >= 2:
-                diffs: list[set[str]] = []
-                for p in parents:
-                    if p in parents_of:
-                        out = _git(
-                            repo,
-                            "diff-tree",
-                            "-r",
-                            "--no-renames",
-                            "--name-only",
-                            p,
-                            cid,
-                        )
-                        diffs.append({ln for ln in out.splitlines() if ln})
-                    else:
-                        diffs.append(set())  # can't diff beyond the boundary
-                if parents[0] in parents_of:
-                    changeset = diffs[0]
-                else:
-                    changeset = set(files_of.get(cid, []))
-                merge_eq = {
-                    f: tuple(
-                        f not in diffs[i] if parents[i] in parents_of else False
-                        for i in range(len(parents))
-                    )
-                    for f in changeset
-                }
-            else:
-                changeset = set(files_of.get(cid, []))
-                merge_eq = None
             commits[cid] = Commit(
                 id=cid,
                 parents=tuple(parents),

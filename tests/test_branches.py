@@ -487,13 +487,10 @@ class TestBranchInfo:
     def test_clean_merge(self, merge_graph):
         info = branch_info(merge_graph, hid("E"))
         assert info.merge == hid("E")
-        assert info.merge_base == hid("A")
         assert info.branch_commit_ids == {hid("D"), hid("B")}
         assert info.branch_length == 2
         assert info.merge_size == 2
-        assert not info.has_additional_changes
 
     def test_conflicted_merge(self, conflict_merge_graph):
         info = branch_info(conflict_merge_graph, hid("E"))
         assert info.merge_size == 3
-        assert info.has_additional_changes

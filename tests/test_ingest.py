@@ -1,4 +1,5 @@
 import json
+import subprocess
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from cochange import (
     save_snapshot,
 )
 
+import cochange.ingest as ingest_mod
 from conftest import GitSandbox, run_git
 from synthgen import generic_graph
 
@@ -142,6 +144,148 @@ class TestIngestShallow:
         # clipped commit carries its full tree
         assert g.commits[c4].changeset == {"a.txt", "c.txt", "deep/b.txt"}
         assert g.commits[c5].changeset == {"d.txt"}
+
+
+def awkward_history(s):
+    """Merges of every shape the batched reads must get right.
+
+    An octopus of three branches, an ``-s ours`` merge (empty diff
+    against the first parent) of a branch forked below the octopus, a
+    conflicted merge, and paths git C-quotes (a double quote, a tab, a
+    backslash).  HEAD is a merge, so a ``--depth 1`` clone is clipped
+    at it.
+    """
+    s.commit("base", {"a.txt": "0", 'q"x.txt': "0", "t\tab.txt": "0"})
+    for i in range(3):
+        s.checkout("main")
+        s.checkout(f"b{i}", create=True)
+        files = {f"b{i}.txt": "1"}
+        if i == 0:
+            files['q"x.txt'] = "b"
+        s.commit(f"b{i}", files)
+    s.checkout("main")
+    s.commit("main", {"m.txt": "1"})
+    run_git(s.path, "merge", "-q", "--no-edit", "b0", "b1", "b2",
+            env_extra=s._date_env())
+    run_git(s.path, "checkout", "-q", "-b", "ours", "HEAD^1")
+    s.commit("ours", {"o.txt": "1"})
+    s.checkout("main")
+    run_git(s.path, "merge", "-q", "--no-edit", "-s", "ours", "ours",
+            env_extra=s._date_env())
+    s.checkout("side", create=True)
+    s.commit("side", {"a.txt": "side", "back\\slash.txt": "1"})
+    s.checkout("main")
+    s.commit("main-a", {"a.txt": "main"})
+    s.merge_resolving("side", {"a.txt": "resolved"})
+    s.checkout("late", create=True)
+    s.commit("late", {"late.txt": "1", "t\tab.txt": "late"})
+    s.checkout("main")
+    s.merge("late")
+
+
+def reference_merge(repo, graph, merge):
+    """A merge's changeset and flags from one ``diff-tree`` per parent.
+
+    This is the per-parent reading the batched one replaces: a parent
+    beyond the shallow boundary cannot be diffed, so it compares False,
+    and a merge clipped at its first parent carries its full tree.
+    """
+    def names(*args):
+        out = run_git(repo, "-c", "core.quotePath=false", *args)
+        return {ln for ln in out.splitlines() if ln}
+
+    diffs = [
+        names("diff-tree", "-r", "--no-renames", "--name-only", p, merge)
+        if p in graph.commits else None
+        for p in graph.commits[merge].parents
+    ]
+    changeset = diffs[0]
+    if changeset is None:
+        changeset = names("ls-tree", "-r", "--name-only", merge)
+    flags = {f: tuple(d is not None and f not in d for d in diffs) for f in changeset}
+    return changeset, flags
+
+
+class TestIngestAgainstPerParentDiffs:
+    @pytest.mark.parametrize("depth", [None, 1, 2, 3])
+    def test_merges_match_per_parent_diff_tree(self, tmp_path, depth):
+        src = tmp_path / "src"
+        src.mkdir()
+        awkward_history(GitSandbox(src))
+        repo = src
+        if depth is not None:
+            repo = tmp_path / "clone"
+            run_git(tmp_path, "clone", "-q", "--depth", str(depth),
+                    f"file://{src}", str(repo))
+        g = ingest_repository(repo)
+        merges = [c for c in g.commits.values() if c.is_merge]
+        assert merges
+        for c in merges:
+            changeset, flags = reference_merge(repo, g, c.id)
+            assert c.changeset == changeset
+            assert c.merge_eq == flags
+        quoted = {f for c in merges for f in c.changeset if f.startswith('"')}
+        if depth in (None, 1):
+            assert len(quoted) == 3  # the double quote, tab and backslash names
+        if depth is None:
+            assert len(merges) == 4
+            assert {len(c.parents) for c in merges} == {2, 4}
+            assert any(not c.changeset for c in merges)  # the -s ours merge
+        else:
+            assert g.boundaries
+        if depth == 1:
+            assert set(g.commits[g.head].parents) <= g.boundaries
+
+    def test_clipped_merge_whose_first_parent_is_reachable(self, tmp_path):
+        # The boundary is drawn at the octopus; its first parent stays
+        # reachable through the -s ours branch, so it is diffed.
+        awkward_history(GitSandbox(tmp_path))
+        octopus = run_git(tmp_path, "rev-list", "--min-parents=4", "HEAD")
+        (tmp_path / ".git" / "shallow").write_text(octopus + "\n")
+        g = ingest_repository(tmp_path)
+        c = g.commits[octopus]
+        assert c.parents[0] in g.commits
+        assert set(c.parents[1:]) <= g.boundaries
+        assert (c.changeset, c.merge_eq) == reference_merge(tmp_path, g, octopus)
+
+    def test_misaligned_diff_tree_answer_is_an_error(self, git_sandbox, monkeypatch):
+        awkward_history(git_sandbox)
+        real_git = ingest_mod._git
+
+        def drop_last_block(repo, *args, stdin=None):
+            out = real_git(repo, *args, stdin=stdin)
+            if args[0] == "diff-tree":
+                out = out[: out.rindex("\x01")]
+            return out
+
+        monkeypatch.setattr(ingest_mod, "_git", drop_last_block)
+        with pytest.raises(IngestError, match="diff-tree"):
+            ingest_repository(git_sandbox.path)
+
+
+class TestIngestGitCalls:
+    @pytest.mark.parametrize("n_merges", [1, 6])
+    def test_at_most_four_git_calls(self, git_sandbox, monkeypatch, n_merges):
+        s = git_sandbox
+        s.commit("base", {"a.txt": "0"})
+        for i in range(n_merges):
+            s.checkout(f"b{i}", create=True)
+            s.commit(f"b{i}", {f"b{i}.txt": "1"})
+            s.checkout("main")
+            s.merge(f"b{i}")
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            calls.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        g = ingest_repository(s.path)
+        monkeypatch.undo()
+        assert sum(c.is_merge for c in g.commits.values()) == n_merges
+        assert all(cmd[0] == "git" for cmd in calls)
+        assert len(calls) <= 4
 
 
 class TestSnapshotRoundTrip:
@@ -330,6 +474,7 @@ class TestSnapshotValidation:
             ("child", "non-utf8"),
             ("child", "list-as-id"),
             ("header", "format-version-true"),
+            ("child", "id-also-a-boundary"),
         ],
     )
     def test_record_error_names_its_line(self, merge_graph, tmp_path, record, edit):
@@ -354,6 +499,8 @@ class TestSnapshotValidation:
             rec["files"].append("x\udcff")  # written as the raw byte 0xff
         elif edit == "list-as-id":
             rec["id"] = [1]
+        elif edit == "id-also-a-boundary":
+            records[0]["boundaries"].append(rec["id"])
         else:
             rec["format_version"] = True
         path = tmp_path / "mutated.jsonl"
@@ -374,6 +521,12 @@ class TestSnapshotValidation:
             ("child", "parents", "ab"),
             ("merge", "merge_eq", [1]),
             ("merge", "merge_eq", {"x": "ab"}),
+            ("header", "repo_label", [1]),
+            ("header", "repo_label", 5),
+            ("root", "merge_eq", None),
+            ("root", "merge_eq", []),
+            ("root", "merge_eq", 0),
+            ("root", "merge_eq", ""),
         ],
     )
     def test_wrongly_typed_field_rejected(
