@@ -364,16 +364,15 @@ def _pairs(files: Iterable[str]) -> set[frozenset[str]]:
 
 
 def added_cochange_count(graph: CommitGraph, merge: str) -> int:
-    """How many co-change pairs the squashed merge diff suggests beyond
-    what the branch commits individually support."""
+    """How many file pairs of the squashed merge diff no branch commit
+    changed together."""
     c = graph.commit(merge)
     if not c.is_merge:
         raise ValueError(f"added_cochange_count requires a merge: {merge}")
-    merge_pairs = len(c.changeset) * (len(c.changeset) - 1) // 2
     branch_pairs: set[frozenset[str]] = set()
     for b in branch_commits(graph, merge):
         branch_pairs |= _pairs(graph.commits[b].changeset)
-    return merge_pairs - len(branch_pairs)
+    return len(_pairs(c.changeset) - branch_pairs)
 
 
 def sample_heavy_merges(

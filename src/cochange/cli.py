@@ -524,6 +524,10 @@ def _cmd_analyze_branches(args) -> int:
         },
         outputs,
     )
+    if counters.errors:
+        commit, error = counters.errors[0]
+        print(f"errors: {len(counters.errors)} (first: {commit}: {error})",
+              file=sys.stderr)
     print(
         f"{len(pairs)} diagnosed cases ({equal_collections} with equal "
         f"collections, {unattributed} unattributed) -> {out_dir}"

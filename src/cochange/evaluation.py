@@ -97,15 +97,7 @@ def _db_fingerprint(db: list[Transaction]) -> list[tuple[str, frozenset[str]]]:
     return [(t.source_commit, t.files) for t in db]
 
 
-@dataclass
-class _CommitRuns:
-    """Per-test-case pipeline results for both strategies of one commit."""
-
-    cases: list[TestCase]
-    runs: dict[tuple[int, Strategy], PipelineRun]
-
-    def db(self, case_index: int, strategy: Strategy) -> list[Transaction]:
-        return self.runs[(case_index, strategy)].db
+_CaseRow = tuple[TestCase, PipelineRun, PipelineRun]
 
 
 def _prepare_commit(
@@ -113,42 +105,38 @@ def _prepare_commit(
     commit: str,
     strategies: tuple[Strategy, Strategy],
     config: RecommenderConfig,
-) -> _CommitRuns:
+) -> list[_CaseRow]:
+    """Each test case of ``commit`` with both strategies' pipeline runs;
+    nothing is walked when the commit yields no case."""
     cases = generate_test_cases(graph, commit, config.max_changeset_size)
-    walks = {s: _walk_before(graph, commit, s) for s in strategies}
-    runs: dict[tuple[int, Strategy], PipelineRun] = {}
-    for i, case in enumerate(cases):
-        query = Query(case.query, case.commit)
-        for s in strategies:
-            runs[(i, s)] = _run_pipeline(walks[s], query, s, config)
-    return _CommitRuns(cases, runs)
-
-
-def _eligibility_reason(
-    prepared: _CommitRuns, strategies: tuple[Strategy, Strategy]
-) -> str | None:
+    if not cases:
+        return []
     a, b = strategies
-    if not prepared.cases:
+    walk_a = _walk_before(graph, commit, a)
+    walk_b = _walk_before(graph, commit, b)
+    rows = []
+    for case in cases:
+        query = Query(case.query, case.commit)
+        rows.append((
+            case,
+            _run_pipeline(walk_a, query, a, config),
+            _run_pipeline(walk_b, query, b, config),
+        ))
+    return rows
+
+
+def _eligibility_reason(rows: list[_CaseRow]) -> str | None:
+    if not rows:
         return _REASON_SIZE
-    differs = any(
-        _db_fingerprint(prepared.db(i, a)) != _db_fingerprint(prepared.db(i, b))
-        for i in range(len(prepared.cases))
-    )
-    if not differs:
+    if all(
+        _db_fingerprint(run_a.db) == _db_fingerprint(run_b.db)
+        for _, run_a, run_b in rows
+    ):
         return _REASON_IDENTICAL
-    enough = any(
-        len(prepared.db(i, s)) >= _MIN_TRANSACTIONS
-        for i in range(len(prepared.cases))
-        for s in strategies
-    )
-    if not enough:
+    runs = [run for row in rows for run in row[1:]]
+    if not any(len(run.db) >= _MIN_TRANSACTIONS for run in runs):
         return _REASON_TOO_FEW
-    any_rules = any(
-        prepared.runs[(i, s)].n_raw_rules
-        for i in range(len(prepared.cases))
-        for s in strategies
-    )
-    if not any_rules:
+    if not any(run.n_raw_rules for run in runs):
         return _REASON_NO_RULES
     return None
 
@@ -170,8 +158,8 @@ def eligible(
     a, b = strategies
     if a is b:
         raise ValueError("eligibility needs two distinct strategies")
-    prepared = _prepare_commit(graph, commit, strategies, config)
-    reason = _eligibility_reason(prepared, strategies)
+    rows = _prepare_commit(graph, commit, strategies, config)
+    reason = _eligibility_reason(rows)
     return (reason is None), reason
 
 
@@ -420,16 +408,15 @@ def _eligible_cases(
     strategies: tuple[Strategy, Strategy],
     config: RecommenderConfig,
     result: ExperimentResult,
-) -> Iterator[tuple[TestCase, PipelineRun, PipelineRun]]:
+) -> Iterator[_CaseRow]:
     """Each case of every eligible commit, in ``run_experiment`` order,
     with both strategies' pipeline runs.  Commit counters, ineligibility
     reasons and per-commit errors go into ``result``."""
-    a, b = strategies
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
         try:
-            prepared = _prepare_commit(graph, commit, strategies, config)
-            reason = _eligibility_reason(prepared, strategies)
+            rows = _prepare_commit(graph, commit, strategies, config)
+            reason = _eligibility_reason(rows)
         except Exception as exc:  # keep going; the report names the commit
             result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
             continue
@@ -437,8 +424,7 @@ def _eligible_cases(
             result.ineligible_reasons[reason] += 1
             continue
         result.commits_eligible += 1
-        for i, case in enumerate(prepared.cases):
-            yield case, prepared.runs[(i, a)], prepared.runs[(i, b)]
+        yield from rows
 
 
 def _paired_records(

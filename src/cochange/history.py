@@ -129,11 +129,6 @@ class ChangesetEntry:
     origin: EntryOrigin
 
 
-def _desc_key(commit_id: str) -> bytes:
-    # bytes that sort in the reverse order of the id, for max-first heaps
-    return bytes(255 - b for b in commit_id.encode("ascii"))
-
-
 @dataclass(frozen=True)
 class CommitGraph:
     """Validated, immutable commit DAG.
@@ -192,30 +187,13 @@ class CommitGraph:
     def _topo_newest_first(self) -> tuple[str, ...]:
         """All commits, children before parents, ties by descending
         (author_timestamp, id).  Deterministic."""
-        pending = {cid: 0 for cid in self.commits}
-        for c in self.commits.values():
-            for p in c.parents:
-                if p in pending:
-                    pending[p] += 1
-        heap = [
-            (-c.author_timestamp, _desc_key(cid), cid)
-            for cid, c in self.commits.items()
-            if pending[cid] == 0
-        ]
-        heapq.heapify(heap)
-        out: list[str] = []
-        while heap:
-            _, _, cid = heapq.heappop(heap)
-            out.append(cid)
-            for p in self.commits[cid].parents:
-                if p in pending:
-                    pending[p] -= 1
-                    if pending[p] == 0:
-                        c = self.commits[p]
-                        heapq.heappush(
-                            heap, (-c.author_timestamp, _desc_key(p), p)
-                        )
-        return tuple(out)
+        return tuple(_newest_first(self, self.commits))
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        """Each commit's position in ascending (author_timestamp, id) order."""
+        order = sorted((c.author_timestamp, c.id) for c in self.commits.values())
+        return {cid: i for i, (_, cid) in enumerate(order)}
 
     @cached_property
     def _generation(self) -> dict[str, int]:
@@ -253,6 +231,29 @@ def _reachable(graph: CommitGraph, start: str) -> set[str]:
     return seen
 
 
+def _newest_first(graph: CommitGraph, nodes: Iterable[str]) -> list[str]:
+    """The commits of ``nodes``, children before parents, ties by
+    descending rank (Kahn's algorithm).  Commits on a cycle are left out."""
+    rank = graph._rank
+    pending = dict.fromkeys(nodes, 0)
+    for cid in pending:
+        for p in graph.commits[cid].parents:
+            if p in pending:
+                pending[p] += 1
+    heap = [(-rank[cid], cid) for cid, n in pending.items() if n == 0]
+    heapq.heapify(heap)
+    out: list[str] = []
+    while heap:
+        cid = heapq.heappop(heap)[1]
+        out.append(cid)
+        for p in graph.commits[cid].parents:
+            if p in pending:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    heapq.heappush(heap, (-rank[p], p))
+    return out
+
+
 def ancestors_first_parent(graph: CommitGraph, start: str) -> list[str]:
     """The first-parent chain from ``start`` down to a root or boundary."""
     cur: str | None = graph.commit(start).id
@@ -271,25 +272,7 @@ def ancestors_all(graph: CommitGraph, start: str) -> list[str]:
     descending author timestamp, then descending id.
     """
     graph.commit(start)
-    reach = _reachable(graph, start)
-    pending = {cid: 0 for cid in reach}
-    for cid in reach:
-        for p in graph.commits[cid].parents:
-            if p in reach:
-                pending[p] += 1
-    c0 = graph.commits[start]
-    heap = [(-c0.author_timestamp, _desc_key(start), start)]
-    out: list[str] = []
-    while heap:
-        _, _, cid = heapq.heappop(heap)
-        out.append(cid)
-        for p in graph.commits[cid].parents:
-            if p in reach:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    c = graph.commits[p]
-                    heapq.heappush(heap, (-c.author_timestamp, _desc_key(p), p))
-    return out
+    return _newest_first(graph, _reachable(graph, start))
 
 
 def additional_changes(graph: CommitGraph, merge: str) -> frozenset[str]:

@@ -100,13 +100,10 @@ class PipelineRun:
 def _walk_before(
     graph: CommitGraph, at_commit: str, strategy: Strategy
 ) -> list[ChangesetEntry]:
-    """Strategy walk for the history strictly before ``at_commit``."""
-    graph.commit(at_commit)
-    return [
-        e
-        for e in strategy_walk(graph, at_commit, strategy)
-        if e.commit_id != at_commit
-    ]
+    """Strategy walk for the history strictly before ``at_commit``, which
+    a walk holds as its first entry or, when it changed nothing, not at all."""
+    walk = strategy_walk(graph, at_commit, strategy)
+    return walk[1:] if walk and walk[0].commit_id == at_commit else walk
 
 
 def _collect(

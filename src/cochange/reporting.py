@@ -257,6 +257,10 @@ def render_summary_tables(summaries: Sequence[dict]) -> str:
         pair = summary.get("strategy_pair", ["?", "?"])
         out.append(f"== {label}: {pair[0]} vs {pair[1]} "
                    f"(fairness {'on' if summary.get('fairness') else 'off'}) ==")
+        errors = summary.get("errors")
+        if errors:
+            out.append(f"errors: {len(errors)} (first: {errors[0]['commit']}: "
+                       f"{errors[0]['error']})")
         if not summary.get("events"):
             out.append("no eligible events")
             out.append("")

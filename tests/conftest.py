@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+import cochange.evaluation as evaluation_module
 from cochange import Commit, CommitGraph
 
 
@@ -34,6 +35,18 @@ def build_graph(commits, head_tag, boundaries=(), label="fixture"):
 
 def names_of(*tags):
     return {hid(t): t for t in tags}
+
+
+def fail_prepare_on(monkeypatch, tag):
+    """Make evaluation raise RuntimeError("boom") while preparing ``tag``."""
+    real = evaluation_module._prepare_commit
+
+    def flaky(graph, commit, strategies, config):
+        if commit == hid(tag):
+            raise RuntimeError("boom")
+        return real(graph, commit, strategies, config)
+
+    monkeypatch.setattr(evaluation_module, "_prepare_commit", flaky)
 
 
 @pytest.fixture

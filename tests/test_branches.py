@@ -449,6 +449,19 @@ class TestAddedCochange:
         g = bundle_chain(1)
         assert added_cochange_count(g, hid("M0")) == 6
 
+    def test_branch_pairs_outside_the_merge_subtract_nothing(self):
+        # the branch pairs {a,c} and {b,d} are not merge pairs; only the
+        # merge pair {a,b} is new
+        commits = [
+            mk_commit("R", [], 1, ["base"]),
+            mk_commit("b1", ["R"], 2, ["a", "c"]),
+            mk_commit("b2", ["b1"], 3, ["b", "d"]),
+            mk_commit("M", ["R", "b2"], 4, ["a", "b"],
+                      {"a": (False, True), "b": (False, True)}),
+        ]
+        g = build_graph(commits, "M")
+        assert added_cochange_count(g, hid("M")) == 1
+
     def test_requires_merge(self, merge_graph):
         with pytest.raises(ValueError):
             added_cochange_count(merge_graph, hid("A"))

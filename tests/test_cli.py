@@ -6,7 +6,7 @@ import pytest
 from cochange import save_snapshot
 from cochange.cli import OUTPUT_DIR_ENV, main
 
-from conftest import build_graph, hid, mk_commit
+from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
 
 
@@ -223,6 +223,7 @@ class TestEvaluate:
 
         stdout = capsys.readouterr().out
         assert "== fixture: full vs fp-no-merge (fairness on) ==" in stdout
+        assert "errors:" not in stdout
 
         header = (out / "records.csv").read_text().splitlines()[0]
         assert header.split(",") == [
@@ -230,6 +231,16 @@ class TestEvaluate:
             "oracle_rank", "average_precision", "n_recommendations",
             "n_rules",
         ]
+
+    def test_per_commit_errors_are_printed(self, tmp_path, capsys,
+                                           monkeypatch):
+        snap = snap_of(branchy_graph(), tmp_path)
+        fail_prepare_on(monkeypatch, "M")
+        assert self.run_eval(snap, tmp_path / "out") == 0
+        stdout = capsys.readouterr().out
+        assert f"errors: 1 (first: {hid('M')}: RuntimeError: boom)\n" in stdout
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["events"] == 3
 
     def test_metadata_names_the_snapshot(self, tmp_path):
         snap = snap_of(branchy_graph(), tmp_path)
@@ -307,6 +318,42 @@ class TestEvaluate:
         assert summary["fairness"] is False
         meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["settings"]["recommender"]["collector"] == "per-file"
+
+    # sha256 of records.csv and summary.json, recorded from the
+    # implementation whose full walk keyed its heap on inverted id bytes;
+    # the integer-rank walk must reproduce them.
+    GOLDEN = {
+        (7, 70, "full,fp-no-merge"): (
+            "d55d1ccc4e47dc67a509e127aecc884e739b9024186d615bdda698cd8b3b87e0",
+            "9fb3fbcd5d79649f4b80613af937490671f6964f072bb19cc1316bbd0de71fcb",
+        ),
+        (7, 70, "full,fp-merge"): (
+            "2fc12b6ab57e1165bf3e085aa839eaa6140bb7167e8e638c91eb6f4cff0b523b",
+            "549dde8dec023601fc1617c64ada259aa50bc7fba35e75b3381cdeec6cea5040",
+        ),
+        (5, 50, "full,fp-no-merge"): (
+            "0b852b509e5067ccede506f27ee8ba96457f9af06d71f4075e70fc71d1bb442c",
+            "b479693c28b63b14405fcb8d23db0eb94f3bbaa3ede69b68b26732e1b99f8447",
+        ),
+        (5, 50, "full,fp-merge"): (
+            "99ababe375101ecc45e0d5249cbb2034dfb41bba4b670170f36f687c3e9c960f",
+            "013f42f8d3ab664ca924287f74e3e521a0d23ac73ab834374f22895035eed980",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, n_commits", [(7, 70), (5, 50)])
+    def test_outputs_match_golden_hashes(self, tmp_path, seed, n_commits):
+        snap = snap_of(generic_graph(seed, n_commits), tmp_path)
+        for pair in ("full,fp-no-merge", "full,fp-merge"):
+            out = tmp_path / pair.replace(",", "_")
+            code = main(["evaluate", "--snapshot", snap, "--pair", pair,
+                         "--out", str(out)])
+            assert code == 0
+            digests = tuple(
+                hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("records.csv", "summary.json")
+            )
+            assert digests == self.GOLDEN[(seed, n_commits, pair)], pair
 
 
 class TestOutputDirResolution:
@@ -430,6 +477,23 @@ class TestAnalyzeBranches:
         rows = single.splitlines()
         assert rows[0] == "bin_low,bin_high,wins_full,wins_fp,draws,n"
         assert all(row.startswith("6,6,1,0,0,1") for row in rows[1:])
+
+    def test_per_commit_errors_go_to_stderr(self, tmp_path, capsys,
+                                            monkeypatch):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        args = ["analyze-branches", "--snapshot", snap, "--out", str(out)]
+        assert main(args) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        expected = (out / "branch_analysis.json").read_bytes()
+
+        fail_prepare_on(monkeypatch, "M")
+        assert main(args) == 0
+        failed = capsys.readouterr()
+        assert failed.err == f"errors: 1 (first: {hid('M')}: RuntimeError: boom)\n"
+        assert failed.out == clean.out
+        assert (out / "branch_analysis.json").read_bytes() == expected
 
     def test_median_cap(self, tmp_path):
         snap = snap_of(branchy_graph(), tmp_path)

@@ -24,9 +24,8 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-import cochange.evaluation as evaluation_module
 
-from conftest import build_graph, hid, mk_commit
+from conftest import build_graph, fail_prepare_on, hid, mk_commit
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
 
@@ -450,14 +449,7 @@ class TestRunExperiment:
 
     def test_per_commit_errors_recorded_and_run_continues(self, monkeypatch):
         g = eligible_graph()
-        real = evaluation_module._prepare_commit
-
-        def flaky(graph, commit, strategies, config):
-            if commit == hid("M"):
-                raise RuntimeError("boom")
-            return real(graph, commit, strategies, config)
-
-        monkeypatch.setattr(evaluation_module, "_prepare_commit", flaky)
+        fail_prepare_on(monkeypatch, "M")
         result = run_experiment(g, PAIR_NO_MERGE, RecommenderConfig(), False)
         assert result.errors == [(hid("M"), "RuntimeError: boom")]
         assert result.events == 3  # T still evaluated

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     Commit,
@@ -150,6 +151,65 @@ class TestTraversal:
         ]
         g = build_graph(commits, "C", boundaries=["A"])
         assert _reachable(g, hid("C")) == {hid("C"), hid("B")}
+
+
+@st.composite
+def random_dags(draw):
+    """Small DAGs with tied and child-older-than-parent timestamps,
+    octopus merges and parents beyond a shallow boundary."""
+    boundaries = [f"edge{j}" for j in range(draw(st.integers(0, 2)))]
+    commits = []
+    for i in range(draw(st.integers(1, 14))):
+        pool = [f"n{j}" for j in range(i)] + boundaries
+        parents = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)
+                       if pool else st.just([]))
+        ts = draw(st.integers(0, 3))
+        if len(parents) >= 2:
+            flags = (False,) + (True,) * (len(parents) - 1)
+            commits.append(mk_commit(f"n{i}", parents, ts, ["m"], {"m": flags}))
+        else:
+            commits.append(mk_commit(f"n{i}", parents, ts, [f"f{i}"]))
+    return build_graph(commits, f"n{len(commits) - 1}", boundaries)
+
+
+def reference_newest_first(graph, nodes):
+    """Repeatedly emit the greatest (author_timestamp, id) commit of
+    ``nodes`` whose children inside ``nodes`` have all been emitted."""
+    left = set(nodes)
+    out = []
+    while left:
+        ready = [
+            c for c in left
+            if not any(c in graph.commits[k].parents for k in left)
+        ]
+        cid = max(ready, key=lambda c: (graph.commits[c].author_timestamp, c))
+        out.append(cid)
+        left.remove(cid)
+    return out
+
+
+class TestWalkOrderAgainstReference:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(graph=random_dags())
+    def test_topological_orders_match_reference(self, graph):
+        assert list(graph._topo_newest_first) == reference_newest_first(
+            graph, graph.commits
+        )
+        for start in graph.commits:
+            reach = {start}
+            while True:
+                more = {
+                    p
+                    for c in reach
+                    for p in graph.commits[c].parents
+                    if p in graph.commits
+                } - reach
+                if not more:
+                    break
+                reach |= more
+            assert ancestors_all(graph, start) == reference_newest_first(
+                graph, reach
+            )
 
 
 class TestAdditionalChanges:
