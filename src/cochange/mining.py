@@ -1,13 +1,20 @@
 """Association rule mining over co-change transactions.
 
 Transactions are sets of file paths extracted from history; rules are
-mined level-wise (frequent itemsets with candidate pruning) and scored
-with exact rational support and confidence.  Floats never enter the
-mining path.
+scored with exact rational support and confidence.  Floats never enter
+the mining path.
+
+The recommendation pipeline mines and ranks in one integer pass,
+``top_rules``: vertical bitmask counts, thresholds compared as integer
+cross-products, and a top-k pick on integer keys, so a ``Fraction`` is
+built only for the rules it returns.  ``apriori`` (level-wise, with
+candidate pruning), and ``single_consequent_rules`` followed by
+``filter_rules``, are the straightforward reference it is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +86,13 @@ def confidence(
 
 
 def _validate_threshold(name: str, value: Fraction) -> Fraction:
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10, and
+    # would silently drop a rule sitting exactly at the threshold.
+    if isinstance(value, (float, bool)):
+        raise ValueError(
+            f"{name} must be exact (a Fraction, an int or a decimal "
+            f"string), not {type(value).__name__}: {value!r}"
+        )
     value = Fraction(value)
     if not (0 < value <= 1):
         raise ValueError(f"{name} must be in (0, 1]: {value}")
@@ -216,3 +230,62 @@ def filter_rules(
     kept = [r for r in rules if len(r.consequent) == 1]
     kept.sort(key=_rule_order)
     return kept[:max_rules]
+
+
+def top_rules(
+    db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
+) -> tuple[int, list[AssociationRule]]:
+    """The number of single-consequent rules, and the best ``max_rules``.
+
+    Equal to ``(len(raw), filter_rules(raw, max_rules))`` with
+    ``raw = single_consequent_rules(db, minsup, minconf)``, computed on
+    integers.  Each file's transactions are one bitmask, so an itemset's
+    count is the popcount of its prefix's mask ANDed with its last file's
+    mask (Eclat's vertical tidsets).  With n fixed, support c_all/n and confidence
+    c_all/c_x rank exactly as the key (-c_all, c_x, len(x), x, item).
+    """
+    _, minsup, minconf = _mining_input(db, minsup, minconf)
+    if max_rules < 1:
+        raise ValueError("max_rules must be positive")
+    n = len(db)
+    sup_den, sup_need = minsup.denominator, minsup.numerator * n
+    conf_den, conf_num = minconf.denominator, minconf.numerator
+
+    masks: dict[str, int] = {}
+    for i, t in enumerate(db):
+        bit = 1 << i
+        for f in t.files:
+            masks[f] = masks.get(f, 0) | bit
+
+    # Depth-first over frequent prefixes, each with its transaction mask
+    # and the files after its last one that may extend it.
+    counts: dict[tuple[str, ...], int] = {}
+    stack = [((), (1 << n) - 1, sorted(masks.items()))]
+    while stack:
+        prefix, prefix_mask, extensions = stack.pop()
+        frequent = []
+        for f, mask in extensions:
+            mask &= prefix_mask
+            c = mask.bit_count()
+            if c * sup_den >= sup_need:
+                counts[prefix + (f,)] = c
+                frequent.append((f, mask))
+        for i, (f, mask) in enumerate(frequent):
+            stack.append((prefix + (f,), mask, frequent[i + 1:]))
+
+    keys = []
+    for itemset, c_all in counts.items():
+        if len(itemset) < 2:
+            continue
+        for i, item in enumerate(itemset):
+            x = itemset[:i] + itemset[i + 1:]
+            c_x = counts[x]
+            if c_all * conf_den >= conf_num * c_x:
+                keys.append((-c_all, c_x, len(x), x, item))
+    best = heapq.nsmallest(max_rules, keys)
+    return len(keys), [
+        AssociationRule(
+            frozenset(x), frozenset((item,)), Fraction(-neg, n), Fraction(-neg, c_x)
+        )
+        for neg, c_x, _, x, item in best
+    ]

@@ -13,12 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .history import ChangesetEntry, CommitGraph, Strategy, strategy_walk
-from .mining import (
-    AssociationRule,
-    Transaction,
-    filter_rules,
-    single_consequent_rules,
-)
+from .mining import AssociationRule, Transaction, _validate_threshold, top_rules
 
 
 class Collector(Enum):
@@ -43,14 +38,15 @@ class RecommenderConfig:
     collector: Collector = Collector.SEQUENTIAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "minsup", Fraction(self.minsup))
-        object.__setattr__(self, "minconf", Fraction(self.minconf))
         for name in ("minsup", "minconf"):
-            v = getattr(self, name)
-            if not (0 < v <= 1):
-                raise ValueError(f"{name} must be in (0, 1]: {v}")
+            object.__setattr__(
+                self, name, _validate_threshold(name, getattr(self, name))
+            )
         for name in ("max_changeset_size", "max_commits", "max_rules"):
-            if getattr(self, name) < 1:
+            v = getattr(self, name)
+            if type(v) is not int:  # True and 2.5 are not counts
+                raise ValueError(f"{name} must be an int: {v!r}")
+            if v < 1:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -154,11 +150,11 @@ def _run_pipeline(
 ) -> PipelineRun:
     db = _collect(entries, query, config)
     if db:
-        raw = single_consequent_rules(db, config.minsup, config.minconf)
-        rules = filter_rules(raw, config.max_rules)
+        n_raw, rules = top_rules(
+            db, config.minsup, config.minconf, config.max_rules
+        )
     else:
-        raw = []
-        rules = []
+        n_raw, rules = 0, []
     picked: list[RecommendationEntry] = []
     seen: set[str] = set()
     for rule in rules:
@@ -169,7 +165,7 @@ def _run_pipeline(
                 picked.append(
                     RecommendationEntry(consequent, rule.support, rule)
                 )
-    return PipelineRun(db, rules, len(raw), Recommendation(tuple(picked), strategy))
+    return PipelineRun(db, rules, n_raw, Recommendation(tuple(picked), strategy))
 
 
 def recommend(

@@ -4,9 +4,18 @@ import hashlib
 import subprocess
 
 import pytest
+from hypothesis import settings
 
 import cochange.evaluation as evaluation_module
 from cochange import Commit, CommitGraph
+
+
+# Property tests are deterministic and keep no example database, so a
+# tier-1 run repeats exactly; a test sets only its own max_examples.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("deterministic")
 
 
 def hid(tag: str) -> str:

@@ -189,7 +189,7 @@ def reference_newest_first(graph, nodes):
 
 
 class TestWalkOrderAgainstReference:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(graph=random_dags())
     def test_topological_orders_match_reference(self, graph):
         assert list(graph._topo_newest_first) == reference_newest_first(

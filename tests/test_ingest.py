@@ -563,7 +563,7 @@ def saved_snapshot(tmp_path_factory):
 
 
 class TestSnapshotMutations:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_single_mutation_loads_or_raises_snapshot_error(
         self, saved_snapshot, data

@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     AssociationRule,
@@ -13,6 +15,7 @@ from cochange import (
     single_consequent_rules,
     support,
 )
+from cochange.mining import top_rules
 
 from conftest import hid
 
@@ -243,3 +246,103 @@ class TestFilterRules:
     def test_max_rules_must_be_positive(self):
         with pytest.raises(ValueError):
             filter_rules([], max_rules=0)
+
+
+def reference_top_rules(db, minsup, minconf, max_rules):
+    raw = single_consequent_rules(db, minsup, minconf)
+    return len(raw), filter_rules(raw, max_rules)
+
+
+@st.composite
+def databases(draw):
+    """1-14 transactions over at most 9 files, drawn from a small pool of
+    distinct changesets so identical transactions (and rank ties) recur."""
+    files = "abcdefghi"[: draw(st.integers(1, 9))]
+    pool = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(files), min_size=1),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    return tx(*picks)
+
+
+@st.composite
+def thresholds(draw):
+    den = draw(st.one_of(st.integers(1, 20), st.integers(10**6, 10**12)))
+    return Fraction(draw(st.integers(1, den)), den)
+
+
+class TestTopRules:
+    @settings(max_examples=300)
+    @given(
+        db=databases(),
+        minsup=st.one_of(st.just(Fraction(1)), thresholds()),
+        minconf=st.one_of(st.just(Fraction(1)), thresholds()),
+        max_rules=st.one_of(st.just(1), st.integers(1, 40)),
+    )
+    def test_matches_reference(self, db, minsup, minconf, max_rules):
+        assert top_rules(db, minsup, minconf, max_rules) == reference_top_rules(
+            db, minsup, minconf, max_rules
+        )
+
+    def test_rule_exactly_at_minsup_is_kept(self):
+        db = tx({"a", "b"}, *[{"c"}] * 9)
+        n_raw, rules = top_rules(db, Fraction(1, 10), Fraction(1, 10), 10)
+        assert n_raw == 2
+        assert {(r.antecedent, r.support) for r in rules} == {
+            (frozenset({"a"}), Fraction(1, 10)),
+            (frozenset({"b"}), Fraction(1, 10)),
+        }
+
+    def test_rule_exactly_at_minconf_is_kept(self):
+        # a -> b: support 1/2 and confidence 1/2, both exactly at threshold
+        db = tx({"a", "b"}, {"a"})
+        n_raw, rules = top_rules(db, Fraction(1, 2), Fraction(1, 2), 10)
+        assert n_raw == 2
+        assert AssociationRule(
+            frozenset({"a"}), frozenset({"b"}), Fraction(1, 2), Fraction(1, 2)
+        ) in rules
+
+    def test_cut_keeps_the_best_of_tied_rules(self):
+        db = tx(*[set("abcd")] * 3)
+        n_raw, rules = top_rules(db, Fraction(1), Fraction(1), 1)
+        assert n_raw == 28
+        assert rules == [
+            AssociationRule(
+                frozenset({"a"}), frozenset({"b"}), Fraction(1), Fraction(1)
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([], Fraction(1, 2), Fraction(1, 2), 10),
+            (FIVE, Fraction(0), Fraction(1, 2), 10),
+            (FIVE, Fraction(1, 2), Fraction(3, 2), 10),
+            (FIVE, 0.5, Fraction(1, 2), 10),
+            (FIVE, Fraction(1, 2), True, 10),
+            (FIVE, Fraction(1, 2), Fraction(1, 2), 0),
+        ],
+    )
+    def test_errors_match_reference(self, args):
+        with pytest.raises(ValueError) as expected:
+            reference_top_rules(*args)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            top_rules(*args)
+
+
+class TestExactThresholds:
+    @pytest.mark.parametrize("value", [0.5, 1.0, True])
+    def test_float_and_bool_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match="minsup must be exact"):
+            apriori(FIVE, value, Fraction(1, 2))
+        with pytest.raises(ValueError, match="minconf must be exact"):
+            single_consequent_rules(FIVE, Fraction(1, 2), value)
+
+    def test_int_and_decimal_string_accepted(self):
+        assert single_consequent_rules(FIVE, 1, "0.1") == single_consequent_rules(
+            FIVE, Fraction(1), Fraction(1, 10)
+        )

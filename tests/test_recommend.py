@@ -38,6 +38,26 @@ class TestConfigAndQueryValidation:
             with pytest.raises(ValueError):
                 RecommenderConfig(**{field: 0})
 
+    @pytest.mark.parametrize("field", ["minsup", "minconf"])
+    @pytest.mark.parametrize("value", [0.1, 1.0, True])
+    def test_thresholds_must_be_exact(self, field, value):
+        # Fraction(0.1) is not 1/10 and would drop a rule at exactly 1/10
+        with pytest.raises(ValueError, match=f"{field} must be exact"):
+            RecommenderConfig(**{field: value})
+
+    def test_exact_threshold_forms_accepted(self):
+        for value in (Fraction(1, 10), "0.1", "1/10"):
+            assert RecommenderConfig(minsup=value).minsup == Fraction(1, 10)
+        assert RecommenderConfig(minconf=1).minconf == Fraction(1)
+
+    @pytest.mark.parametrize(
+        "field", ["max_changeset_size", "max_commits", "max_rules"]
+    )
+    @pytest.mark.parametrize("value", [True, 2.5, 7.0, "3"])
+    def test_sizes_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            RecommenderConfig(**{field: value})
+
     def test_query_needs_files(self):
         with pytest.raises(ValueError):
             Query(frozenset(), hid("x"))
@@ -207,6 +227,19 @@ class TestRecommend:
             RecommenderConfig(),
         )
         assert all(e.via_rule.antecedent <= {"z"} for e in rec.entries)
+
+    def test_max_rules_cut_comes_before_the_antecedent_check(self):
+        # Collected for {z}: {z,y} twice and {x,z}.  The best rule, y -> z,
+        # does not fire for the query, and with max_rules=1 it is the only
+        # rule kept, so z -> y never gets its turn.
+        graph, head = self.pipeline_graph()
+        query = Query(frozenset({"z"}), hid(head))
+        rec = recommend(graph, query, Strategy.FULL, RecommenderConfig())
+        assert rec.entries[0].file == "y"
+        rec = recommend(
+            graph, query, Strategy.FULL, RecommenderConfig(max_rules=1)
+        )
+        assert rec.entries == ()
 
     def test_entries_carry_rule_provenance(self):
         graph, head = self.pipeline_graph()
