@@ -74,37 +74,24 @@ def diagnose_causes(
     """Blame merges for the difference between two collections.
 
     ``db_a`` and ``db_b`` are what the two strategies collected for
-    ``test_case`` (``PipelineRun.db``).  A merge is a cause when its own
-    entry landed in either collection or any of its branch commits
-    landed in ``db_a``.  Returns None when the collections are identical
-    (nothing to explain).
+    ``test_case`` (``PipelineRun.db``).  A merge explains the difference
+    when its own entry landed in either collection or any of its branch
+    commits landed in ``db_a``.  The causes are the explaining merges on
+    the case's first-parent chain (the case's own commit excluded); only
+    when none of those explains are the explaining merges elsewhere in
+    the graph blamed instead.  Returns None when the collections are
+    identical (nothing to explain).
     """
     if _db_fingerprint(db_a) == _db_fingerprint(db_b):
         return None
     ids_a = {t.source_commit for t in db_a}
     ids_b = {t.source_commit for t in db_b}
-
-    def is_cause(merge_id: str) -> bool:
-        if merge_id in ids_a or merge_id in ids_b:
-            return True
-        return bool(branch_commits(graph, merge_id) & ids_a)
-
-    chain_merges = [
-        cid
-        for cid in ancestors_first_parent(graph, test_case.commit)
-        if cid != test_case.commit and graph.commits[cid].is_merge
-    ]
-    causes = [m for m in chain_merges if is_cause(m)]
-    if not causes:
-        # Nested or criss-cross structure: look at every merge.
-        seen = set(chain_merges)
-        causes = [
-            cid
-            for cid in sorted(graph.commits)
-            if cid not in seen
-            and graph.commits[cid].is_merge
-            and is_cause(cid)
-        ]
+    owners = graph._branch_owners
+    hits = (ids_a | ids_b) & graph._branch_table.keys()
+    for cid in ids_a:
+        hits |= owners.get(cid, frozenset())
+    chain = set(ancestors_first_parent(graph, test_case.commit)[1:])
+    causes = (hits & chain) or hits
     if not causes:
         raise CauseAttributionError(
             f"collections differ for {test_case.commit} but no merge "

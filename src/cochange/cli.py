@@ -49,6 +49,7 @@ from .ingest import (
 )
 from .recommend import Collector, Query, RecommenderConfig, recommend
 from .reporting import (
+    _frac_of,
     fmt_decimal,
     frac_json,
     precision_summary,
@@ -423,12 +424,17 @@ def _pair_settings(
         overrides.append("collector")
     if fairness != default_fairness:
         overrides.append("fairness")
-    if overrides and not args.unsafe_override:
-        raise SystemExit(_usage_error(
-            f"{' and '.join(overrides)} contradict the {args.pair} profile; "
-            "pass --unsafe-override to proceed"
-        ))
+    if not args.unsafe_override:
+        _refuse_overrides(
+            overrides, args.pair, "; pass --unsafe-override to proceed"
+        )
     return (_STRATEGIES[names[0]], _STRATEGIES[names[1]]), config, fairness
+
+
+def _refuse_overrides(overrides: list[str], pair: str, hint: str = "") -> None:
+    if overrides:
+        raise SystemExit(_usage_error(
+            f"{' and '.join(overrides)} contradict the {pair} profile{hint}"))
 
 
 def _cmd_evaluate(args) -> int:
@@ -456,12 +462,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_branches(args) -> int:
-    graph = load_snapshot(args.snapshot)
+    if args.bins < 1:
+        return _usage_error("--bins must be positive")
     file_config = _load_config_file(args.config)
     strategies = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
-    config = _build_recommender_config(
-        args, file_config, Collector.PER_FILE_SLICE
-    )
+    collector, _ = _PROFILES[("full", "fp-merge")]
+    config = _build_recommender_config(args, file_config, collector)
+    if config.collector is not collector:
+        _refuse_overrides(["collector"], "full,fp-merge")
+    graph = load_snapshot(args.snapshot)
     out_dir = _resolve_out_dir(args, file_config)
     # One constant-size row per case, in case order (winner_rate_table
     # breaks ties by position): first-parent collection size, diagnosis
@@ -543,11 +552,11 @@ def _histogram(values) -> dict[str, int]:
 
 
 def _cmd_analyze_cochange(args) -> int:
+    if args.horizon < 1:
+        return _usage_error("--horizon must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
-    if args.horizon < 1:
-        return _usage_error("--horizon must be positive")
     records, diagnostics = cochange_study(graph, args.horizon)
     summary = precision_summary(records, diagnostics, args.horizon)
     write_precision_csv(records, out_dir / "precision.csv")
@@ -561,19 +570,17 @@ def _cmd_analyze_cochange(args) -> int:
     )
     for mode in (CochangeMode.FROM_MERGE.value, CochangeMode.FROM_BRANCH.value):
         stats = summary["modes"].get(mode, {"merges": 0, "mean_precision": None})
-        mean = stats["mean_precision"]
-        if mean is not None:
-            mean = Fraction(mean["num"], mean["den"])
-        print(f"{mode}: {stats['merges']} merges, mean precision {fmt_decimal(mean)}")
+        mean = fmt_decimal(_frac_of(stats["mean_precision"]))
+        print(f"{mode}: {stats['merges']} merges, mean precision {mean}")
     return 0
 
 
 def _cmd_sample_merges(args) -> int:
+    if args.n < 1:
+        return _usage_error("--n must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
-    if args.n < 1:
-        return _usage_error("--n must be positive")
     sampled = sample_heavy_merges(graph, args.min_added, args.n, args.seed)
     rows = []
     for cid in sampled:

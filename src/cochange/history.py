@@ -214,9 +214,22 @@ class CommitGraph:
         return {cid: tuple(sorted(v)) for cid, v in kids.items()}
 
     @cached_property
-    def _branch_commits(self) -> dict[str, frozenset[str]]:
-        """Memo for ``branch_commits``; exact because the graph is immutable."""
-        return {}
+    def _branch_table(self) -> dict[str, frozenset[str]]:
+        """Every merge's ``branch_commits``, built once, parents first."""
+        table: dict[str, frozenset[str]] = {}
+        for cid in reversed(self._topo_newest_first):
+            if self.commits[cid].is_merge:
+                table[cid] = _branch_of(self, cid, table)
+        return table
+
+    @cached_property
+    def _branch_owners(self) -> dict[str, frozenset[str]]:
+        """Commit -> the merges whose ``_branch_table`` entry holds it."""
+        owners: dict[str, set[str]] = {}
+        for merge, commits in self._branch_table.items():
+            for cid in commits:
+                owners.setdefault(cid, set()).add(merge)
+        return {cid: frozenset(ms) for cid, ms in owners.items()}
 
 
 def _reachable(graph: CommitGraph, start: str) -> set[str]:
@@ -229,6 +242,33 @@ def _reachable(graph: CommitGraph, start: str) -> set[str]:
                 seen.add(p)
                 stack.append(p)
     return seen
+
+
+def _branch_of(
+    graph: CommitGraph, merge: str, table: Mapping[str, frozenset[str]]
+) -> frozenset[str]:
+    """Non-merge commits on ``merge``'s side chains, each walked by first
+    parents until it reaches an ancestor of the first parent.  An inner
+    merge met on the way adds its finished ``table`` entry instead of
+    being walked again."""
+    commits = graph.commits
+    fp, *sides = commits[merge].parents
+    if fp not in commits:
+        return frozenset()
+    stop = _reachable(graph, fp)
+    result: set[str] = set()
+    for side in sides:
+        if side not in commits or stop.isdisjoint(_reachable(graph, side)):
+            continue
+        cur: str | None = side
+        while cur is not None and cur not in stop:
+            c = commits[cur]
+            if c.is_merge:
+                result |= table[cur]
+            else:
+                result.add(cur)
+            cur = c.parents[0] if c.parents and c.parents[0] in commits else None
+    return frozenset(result)
 
 
 def _newest_first(graph: CommitGraph, nodes: Iterable[str]) -> list[str]:
@@ -341,50 +381,15 @@ def merge_base(graph: CommitGraph, a: str, b: str) -> str | None:
 def branch_commits(graph: CommitGraph, merge: str) -> frozenset[str]:
     """Non-merge commits attributable to the branch joined by ``merge``.
 
-    Walks the first-parent chain of each non-first parent back to the
-    merge base, expanding inner merges recursively; merge commits
-    themselves are never included.  Disjoint histories contribute
-    nothing (``merge_base`` returning None is the diagnostic).
+    Walks the first-parent chain of each non-first parent until it
+    reaches an ancestor of the first parent, taking in the branch
+    commits of every inner merge on the way; merge commits themselves
+    are never included.  Disjoint histories contribute nothing.  The
+    first call on a graph builds the table for every merge.
     """
-    memo = graph._branch_commits
-    if merge in memo:
-        return memo[merge]
-    top = graph.commit(merge)
-    if not top.is_merge:
+    if not graph.commit(merge).is_merge:
         raise ValueError(f"branch_commits requires a merge commit: {merge}")
-    result: set[str] = set()
-    expanded: set[str] = set()
-    stack = [merge]
-    while stack:
-        mid = stack.pop()
-        if mid in expanded:
-            continue
-        expanded.add(mid)
-        mc = graph.commits[mid]
-        fp = mc.parents[0]
-        if fp not in graph.commits:
-            continue
-        stop = _reachable(graph, fp)
-        for side in mc.parents[1:]:
-            if side not in graph.commits:
-                continue
-            if stop.isdisjoint(_reachable(graph, side)):
-                continue
-            cur: str | None = side
-            while cur is not None and cur not in stop:
-                c = graph.commits[cur]
-                if c.is_merge:
-                    stack.append(cur)
-                else:
-                    result.add(cur)
-                parents = c.parents
-                cur = (
-                    parents[0]
-                    if parents and parents[0] in graph.commits
-                    else None
-                )
-    memo[merge] = frozenset(result)
-    return memo[merge]
+    return graph._branch_table[merge]
 
 
 def branch_length(graph: CommitGraph, merge: str) -> int:

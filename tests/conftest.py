@@ -4,7 +4,7 @@ import hashlib
 import subprocess
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import cochange.evaluation as evaluation_module
 from cochange import Commit, CommitGraph
@@ -56,6 +56,25 @@ def fail_prepare_on(monkeypatch, tag):
         return real(graph, commit, strategies, config)
 
     monkeypatch.setattr(evaluation_module, "_prepare_commit", flaky)
+
+
+@st.composite
+def random_dags(draw):
+    """Small DAGs with tied and child-older-than-parent timestamps,
+    octopus merges and parents beyond a shallow boundary."""
+    boundaries = [f"edge{j}" for j in range(draw(st.integers(0, 2)))]
+    commits = []
+    for i in range(draw(st.integers(1, 14))):
+        pool = [f"n{j}" for j in range(i)] + boundaries
+        parents = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)
+                       if pool else st.just([]))
+        ts = draw(st.integers(0, 3))
+        if len(parents) >= 2:
+            flags = (False,) + (True,) * (len(parents) - 1)
+            commits.append(mk_commit(f"n{i}", parents, ts, ["m"], {"m": flags}))
+        else:
+            commits.append(mk_commit(f"n{i}", parents, ts, [f"f{i}"]))
+    return build_graph(commits, f"n{len(commits) - 1}", boundaries)
 
 
 @pytest.fixture

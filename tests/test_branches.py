@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     CausalDiagnosis,
@@ -14,7 +15,10 @@ from cochange import (
     RecommenderConfig,
     Strategy,
     TestCase as EvalCase,
+    Transaction,
     added_cochange_count,
+    ancestors_first_parent,
+    branch_commits,
     branch_info,
     cochange_study,
     cochanged_files,
@@ -30,8 +34,9 @@ from cochange import (
 )
 from cochange.branches import median_cap
 from cochange.cli import main
+from cochange.history import _reachable
 
-from conftest import build_graph, hid, mk_commit
+from conftest import build_graph, hid, mk_commit, random_dags
 from synthgen import generic_graph
 
 CONFIG = RecommenderConfig()
@@ -507,3 +512,120 @@ class TestBranchInfo:
     def test_conflicted_merge(self, conflict_merge_graph):
         info = branch_info(conflict_merge_graph, hid("E"))
         assert info.merge_size == 3
+
+
+def reference_branch_commits(graph, merge):
+    """The earlier stack walk: expand every inner merge met on a side
+    chain through a stack and an ``expanded`` set."""
+    result, expanded, stack = set(), set(), [merge]
+    while stack:
+        mid = stack.pop()
+        if mid in expanded:
+            continue
+        expanded.add(mid)
+        fp, *sides = graph.commits[mid].parents
+        if fp not in graph.commits:
+            continue
+        stop = _reachable(graph, fp)
+        for side in sides:
+            if side not in graph.commits:
+                continue
+            if stop.isdisjoint(_reachable(graph, side)):
+                continue
+            cur = side
+            while cur is not None and cur not in stop:
+                c = graph.commits[cur]
+                if c.is_merge:
+                    stack.append(cur)
+                else:
+                    result.add(cur)
+                parents = c.parents
+                cur = parents[0] if parents and parents[0] in graph.commits else None
+    return frozenset(result)
+
+
+def reference_diagnose(graph, case, db_a, db_b):
+    """The earlier search: test each first-parent-chain merge, and only
+    if none is a cause, every other merge of the graph."""
+    if [(t.source_commit, t.files) for t in db_a] == [
+        (t.source_commit, t.files) for t in db_b
+    ]:
+        return None
+    ids_a = {t.source_commit for t in db_a}
+    ids_b = {t.source_commit for t in db_b}
+
+    def is_cause(m):
+        return m in ids_a or m in ids_b or bool(
+            reference_branch_commits(graph, m) & ids_a
+        )
+
+    chain = [
+        cid
+        for cid in ancestors_first_parent(graph, case.commit)
+        if cid != case.commit and graph.commits[cid].is_merge
+    ]
+    causes = [m for m in chain if is_cause(m)]
+    if not causes:
+        causes = [
+            cid
+            for cid in sorted(graph.commits)
+            if cid not in chain and graph.commits[cid].is_merge and is_cause(cid)
+        ]
+    if not causes:
+        raise CauseAttributionError(case.commit)
+    return CausalDiagnosis(
+        test_case=case,
+        causing_merges=frozenset(causes),
+        max_branch_length=max(len(reference_branch_commits(graph, m)) for m in causes),
+        max_merge_size=max(len(graph.commits[m].changeset) for m in causes),
+    )
+
+
+@st.composite
+def graphs_with_collections(draw):
+    """A random DAG and a few cases, each with two collections drawn from
+    the graph's commits and from ids outside it."""
+    graph = draw(random_dags())
+    ids = sorted(graph.commits) + [hid("outside-1"), hid("outside-2")]
+    collection = st.lists(
+        st.builds(
+            Transaction,
+            files=st.sampled_from([frozenset({"x"}), frozenset({"x", "y"})]),
+            source_commit=st.sampled_from(ids),
+        ),
+        max_size=6,
+    )
+    cases = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(graph.commits)), collection, collection),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return graph, [
+        (EvalCase(commit, frozenset({"q"}), "o"), db_a, db_b)
+        for commit, db_a, db_b in cases
+    ]
+
+
+def outcome(diagnose_fn, graph, case, db_a, db_b):
+    try:
+        return diagnose_fn(graph, case, db_a, db_b)
+    except CauseAttributionError:
+        return CauseAttributionError
+
+
+class TestBranchTableAgainstReference:
+    @settings(max_examples=500)
+    @given(drawn=graphs_with_collections())
+    def test_matches_stack_walk_and_two_stage_search(self, drawn):
+        graph, cases = drawn
+        for cid, c in graph.commits.items():
+            if c.is_merge:
+                assert branch_commits(graph, cid) == reference_branch_commits(
+                    graph, cid
+                )
+        for case, db_a, db_b in cases:
+            assert outcome(diagnose_causes, graph, case, db_a, db_b) == outcome(
+                reference_diagnose, graph, case, db_a, db_b
+            )

@@ -59,6 +59,21 @@ def snap_of(graph, tmp_path, name="snap.jsonl"):
     return str(p)
 
 
+@pytest.fixture(params=["7-70", "5-50", "nested"])
+def golden_snapshot(request, tmp_path):
+    """(name, snapshot path) of a graph whose outputs have golden hashes:
+    two seeded generic graphs and the nested-merge fixture."""
+    if request.param == "nested":
+        graph = request.getfixturevalue("nested_merge_graph")
+    else:
+        graph = generic_graph(*map(int, request.param.split("-")))
+    return request.param, snap_of(graph, tmp_path)
+
+
+def digests(out, names):
+    return tuple(hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names)
+
+
 @pytest.fixture(autouse=True)
 def no_ambient_output_dir(monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -478,6 +493,46 @@ class TestAnalyzeBranches:
         assert rows[0] == "bin_low,bin_high,wins_full,wins_fp,draws,n"
         assert all(row.startswith("6,6,1,0,0,1") for row in rows[1:])
 
+    PROFILE_ERROR = (
+        "cochange: error: collector contradict the full,fp-merge profile"
+    )
+
+    def test_collector_flag_contradicting_profile_is_refused(
+        self, tmp_path, capsys
+    ):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        code = main(["analyze-branches", "--snapshot", snap, "--out", str(out),
+                     "--collector", "sequential"])
+        assert code == 1
+        assert capsys.readouterr().err == self.PROFILE_ERROR + "\n"
+        assert not out.exists()
+        # evaluate refuses the same pair and collector with the same words
+        code = main(["evaluate", "--snapshot", snap, "--pair", "full,fp-merge",
+                     "--out", str(out), "--collector", "sequential"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(self.PROFILE_ERROR)
+
+    def test_config_file_collector_contradicting_profile_is_refused(
+        self, tmp_path, capsys
+    ):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"collector": "sequential"}))
+        code = main(["analyze-branches", "--snapshot", snap, "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == self.PROFILE_ERROR + "\n"
+        assert not out.exists()
+
+    def test_profile_collector_is_accepted(self, tmp_path):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        code = main(["analyze-branches", "--snapshot", snap, "--out", str(out),
+                     "--collector", "per-file"])
+        assert code == 0
+
     def test_per_commit_errors_go_to_stderr(self, tmp_path, capsys,
                                             monkeypatch):
         snap = snap_of(branchy_graph(), tmp_path)
@@ -612,6 +667,46 @@ class TestAnalyzeCochange:
         )
         assert code == 1
 
+    # sha256 of cochange.json and precision.csv, recorded from the
+    # implementation that expanded inner merges through a stack on every
+    # branch_commits call; the once-built branch table must reproduce them.
+    GOLDEN = {
+        ("7-70", "100"): (
+            "60a596d45a6f47b3cda6a514b13d743a34aaa11ec3becffba280058a67a317e7",
+            "273b33288b9034c3573e2ae591b77054c50146878d73c45a480260be7e2d98af",
+        ),
+        ("7-70", "5"): (
+            "9ad853d3538c7fd30b6d4adb0842d1c84440b4182abcd6f4f4c3f69ac48ec9dd",
+            "ea35f87349a40ffcf8d04172709bc2ecedbf3d19e747f18314cfcb7ea2b08588",
+        ),
+        ("5-50", "100"): (
+            "1890cbece2bd7e10a8152c649ba0f1572ed19d36f0a67bb739337fe33ebf8e68",
+            "39606726281f77a27cec84c8338c4fee8cbd091b4dd2ef686b4a7a4562c5daea",
+        ),
+        ("5-50", "5"): (
+            "6f33c6adfe0f0370bb64b6d8a2fad3a83727ef40d29dea982427af15b00298bc",
+            "6e61d082b84ed6bb412f14cc41c0953c027e222972e24d8068bcf5b843976829",
+        ),
+        ("nested", "100"): (
+            "709f66ddf438be6081268457e3c190a6ea6906c038e8c1a242c150f5faf36f12",
+            "2415a4447fd815f3f0bf98d0735cf347ad232c746e0075a84f4936d98003c9b1",
+        ),
+        ("nested", "5"): (
+            "07053e76c67a3b73f93a265c1deacb6ad857024996749ec965bb69f7983955ac",
+            "2415a4447fd815f3f0bf98d0735cf347ad232c746e0075a84f4936d98003c9b1",
+        ),
+    }
+
+    def test_outputs_match_golden_hashes(self, tmp_path, golden_snapshot):
+        name, snap = golden_snapshot
+        for horizon in ("100", "5"):
+            out = tmp_path / horizon
+            code = main(["analyze-cochange", "--snapshot", snap,
+                         "--out", str(out), "--horizon", horizon])
+            assert code == 0
+            got = digests(out, ("cochange.json", "precision.csv"))
+            assert got == self.GOLDEN[(name, horizon)], horizon
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -655,6 +750,65 @@ class TestSampleMerges:
              "--out", str(tmp_path / "o"), "--n", "0"]
         )
         assert code == 1
+
+
+    # sha256 of sampled_merges.csv, recorded alongside the analyze-cochange
+    # hashes above.
+    GOLDEN = {
+        ("7-70", "defaults"):
+            "3e523dc24456cdd7f14515c6b78ed9aff95274552bb351b6754234de338f5d41",
+        ("7-70", "sampled"):
+            "9bae6ff7e76363a5b78d1abde85cb04a178b583ff72d1a950948d2f5b7b4ba5a",
+        ("5-50", "defaults"):
+            "79d1f5c024703e5f9f95cc91190611b7a672d75e7fae5bf1ac474eab29d5da44",
+        ("5-50", "sampled"):
+            "a803a772210b2aa14d12ba9732c39f956082a3b7d8afbb552f171b29343c4ad1",
+        ("nested", "defaults"):
+            "a0ec1715aabd02b48204faf1bcbcaa2c1ab7f4ed61ee69d386da3f8346637d35",
+        ("nested", "sampled"):
+            "12615b16f09a8449003841644adeb45992732b5424aa35013b0f52191b5717d5",
+    }
+
+    def test_outputs_match_golden_hashes(self, tmp_path, golden_snapshot):
+        name, snap = golden_snapshot
+        for setting, flags in (
+            ("defaults", []),
+            ("sampled", ["--min-added", "1", "--n", "3", "--seed", "4"]),
+        ):
+            out = tmp_path / setting
+            code = main(["sample-merges", "--snapshot", snap,
+                         "--out", str(out), *flags])
+            assert code == 0
+            got = digests(out, ("sampled_merges.csv",))
+            assert got == (self.GOLDEN[(name, setting)],), setting
+
+
+class TestUsageErrorsBeforeWork:
+    CASES = [
+        (["analyze-branches", "--bins", "0"], "--bins must be positive"),
+        (["analyze-cochange", "--horizon", "0"], "--horizon must be positive"),
+        (["sample-merges", "--n", "0"], "--n must be positive"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_refused_before_creating_the_output_dir(
+        self, tmp_path, capsys, argv, message
+    ):
+        snap = snap_of(study_graph(), tmp_path)
+        out = tmp_path / "out" / "nested"
+        assert main([*argv, "--snapshot", snap, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_refused_before_loading_the_snapshot(
+        self, tmp_path, capsys, argv, message
+    ):
+        missing = str(tmp_path / "missing.jsonl")
+        out = tmp_path / "out"
+        assert main([*argv, "--snapshot", missing, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cochange import (
     Commit,
@@ -17,7 +17,7 @@ from cochange import (
 )
 from cochange.history import validate_commit_id, validate_file_path, _reachable
 
-from conftest import build_graph, hid, mk_commit
+from conftest import build_graph, hid, mk_commit, random_dags
 from synthgen import generic_graph
 
 
@@ -151,25 +151,6 @@ class TestTraversal:
         ]
         g = build_graph(commits, "C", boundaries=["A"])
         assert _reachable(g, hid("C")) == {hid("C"), hid("B")}
-
-
-@st.composite
-def random_dags(draw):
-    """Small DAGs with tied and child-older-than-parent timestamps,
-    octopus merges and parents beyond a shallow boundary."""
-    boundaries = [f"edge{j}" for j in range(draw(st.integers(0, 2)))]
-    commits = []
-    for i in range(draw(st.integers(1, 14))):
-        pool = [f"n{j}" for j in range(i)] + boundaries
-        parents = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)
-                       if pool else st.just([]))
-        ts = draw(st.integers(0, 3))
-        if len(parents) >= 2:
-            flags = (False,) + (True,) * (len(parents) - 1)
-            commits.append(mk_commit(f"n{i}", parents, ts, ["m"], {"m": flags}))
-        else:
-            commits.append(mk_commit(f"n{i}", parents, ts, [f"f{i}"]))
-    return build_graph(commits, f"n{len(commits) - 1}", boundaries)
 
 
 def reference_newest_first(graph, nodes):
@@ -379,7 +360,7 @@ class TestBranchCommits:
                     if not g.commits[x].is_merge
                 }
                 assert branch_commits(g, cid) == expected
-                assert branch_commits(g, cid) == expected  # from the memo
+                assert branch_commits(g, cid) == expected  # from the table
 
     def test_requires_merge(self, merge_graph):
         with pytest.raises(ValueError):
