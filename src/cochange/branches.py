@@ -23,7 +23,7 @@ from .history import (
     branch_length,
     merge_commit_size,
 )
-from .evaluation import PairedVerdict, TestCase, _db_fingerprint
+from .evaluation import PairedVerdict, TestCase
 from .mining import Transaction
 
 
@@ -82,7 +82,7 @@ def diagnose_causes(
     the graph blamed instead.  Returns None when the collections are
     identical (nothing to explain).
     """
-    if _db_fingerprint(db_a) == _db_fingerprint(db_b):
+    if db_a == db_b:
         return None
     ids_a = {t.source_commit for t in db_a}
     ids_b = {t.source_commit for t in db_b}

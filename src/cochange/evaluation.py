@@ -17,12 +17,12 @@ from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from .history import CommitGraph, Strategy, ancestors_first_parent
-from .mining import Transaction
 from .recommend import (
     PipelineRun,
     Query,
     Recommendation,
     RecommenderConfig,
+    _collect,
     _fair_pair,
     _run_pipeline,
     _walk_before,
@@ -92,11 +92,6 @@ _REASON_NO_RULES = "no association rules generated"
 
 _MIN_TRANSACTIONS = 5
 
-
-def _db_fingerprint(db: list[Transaction]) -> list[tuple[str, frozenset[str]]]:
-    return [(t.source_commit, t.files) for t in db]
-
-
 _CaseRow = tuple[TestCase, PipelineRun, PipelineRun]
 
 
@@ -105,40 +100,34 @@ def _prepare_commit(
     commit: str,
     strategies: tuple[Strategy, Strategy],
     config: RecommenderConfig,
-) -> list[_CaseRow]:
-    """Each test case of ``commit`` with both strategies' pipeline runs;
+) -> tuple[str | None, list[_CaseRow]]:
+    """The first eligibility reason ``commit`` fails, or None and each of
+    its test cases with both strategies' pipeline runs.  The reasons that
+    need only the collections are decided before anything is mined, and
     nothing is walked when the commit yields no case."""
     cases = generate_test_cases(graph, commit, config.max_changeset_size)
     if not cases:
-        return []
+        return _REASON_SIZE, []
     a, b = strategies
     walk_a = _walk_before(graph, commit, a)
     walk_b = _walk_before(graph, commit, b)
-    rows = []
+    collected = []
     for case in cases:
         query = Query(case.query, case.commit)
-        rows.append((
-            case,
-            _run_pipeline(walk_a, query, a, config),
-            _run_pipeline(walk_b, query, b, config),
-        ))
-    return rows
-
-
-def _eligibility_reason(rows: list[_CaseRow]) -> str | None:
-    if not rows:
-        return _REASON_SIZE
-    if all(
-        _db_fingerprint(run_a.db) == _db_fingerprint(run_b.db)
-        for _, run_a, run_b in rows
-    ):
-        return _REASON_IDENTICAL
-    runs = [run for row in rows for run in row[1:]]
-    if not any(len(run.db) >= _MIN_TRANSACTIONS for run in runs):
-        return _REASON_TOO_FEW
-    if not any(run.n_raw_rules for run in runs):
-        return _REASON_NO_RULES
-    return None
+        dbs = (_collect(walk_a, query, config), _collect(walk_b, query, config))
+        collected.append((case, query, dbs))
+    if all(db_a == db_b for _, _, (db_a, db_b) in collected):
+        return _REASON_IDENTICAL, []
+    if not any(len(db) >= _MIN_TRANSACTIONS for *_, dbs in collected for db in dbs):
+        return _REASON_TOO_FEW, []
+    rows = [
+        (case, _run_pipeline(db_a, query, a, config),
+         _run_pipeline(db_b, query, b, config))
+        for case, query, (db_a, db_b) in collected
+    ]
+    if not any(run.n_raw_rules for _, *runs in rows for run in runs):
+        return _REASON_NO_RULES, []
+    return None, rows
 
 
 def eligible(
@@ -158,8 +147,7 @@ def eligible(
     a, b = strategies
     if a is b:
         raise ValueError("eligibility needs two distinct strategies")
-    rows = _prepare_commit(graph, commit, strategies, config)
-    reason = _eligibility_reason(rows)
+    reason, _ = _prepare_commit(graph, commit, strategies, config)
     return (reason is None), reason
 
 
@@ -415,8 +403,7 @@ def _eligible_cases(
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
         try:
-            rows = _prepare_commit(graph, commit, strategies, config)
-            reason = _eligibility_reason(rows)
+            reason, rows = _prepare_commit(graph, commit, strategies, config)
         except Exception as exc:  # keep going; the report names the commit
             result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
             continue

@@ -50,6 +50,11 @@ def validate_file_path(path: str) -> str:
     """Return ``path`` if it is a sane repository-relative path."""
     if not isinstance(path, str) or not path:
         raise ValueError("file path must be a non-empty string")
+    if not path.isascii():
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"file path is not valid UTF-8: {path!r}") from None
     if path.startswith("/"):
         raise ValueError(f"file path must be repository-relative: {path!r}")
     parts = path.split("/")
@@ -200,9 +205,24 @@ class CommitGraph:
         """Longest distance from the roots, per commit."""
         gen: dict[str, int] = {}
         for cid in reversed(self._topo_newest_first):
-            parents = [p for p in self.commits[cid].parents if p in self.commits]
-            gen[cid] = 1 + max((gen[p] for p in parents), default=-1)
+            gen[cid] = 1 + max((gen[p] for p in self._parents[cid]), default=-1)
         return gen
+
+    @cached_property
+    def _parents(self) -> dict[str, tuple[str, ...]]:
+        """Each commit's parents inside the graph, boundary ids dropped."""
+        b = self.boundaries
+        return {
+            cid: c.parents if b.isdisjoint(c.parents)
+            else tuple(p for p in c.parents if p not in b)
+            for cid, c in self.commits.items()
+        }
+
+    @cached_property
+    def _entries(self) -> dict[Strategy, dict[str, ChangesetEntry | None]]:
+        """Per strategy, each commit's walk entry (None: it contributes
+        nothing), filled on first request by ``strategy_walk``."""
+        return {s: {} for s in Strategy}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -234,11 +254,12 @@ class CommitGraph:
 
 def _reachable(graph: CommitGraph, start: str) -> set[str]:
     """Ancestors of ``start`` including itself, boundary edges not crossed."""
+    parents = graph._parents
     seen = {start}
     stack = [start]
     while stack:
-        for p in graph.commits[stack.pop()].parents:
-            if p in graph.commits and p not in seen:
+        for p in parents[stack.pop()]:
+            if p not in seen:
                 seen.add(p)
                 stack.append(p)
     return seen
@@ -273,24 +294,24 @@ def _branch_of(
 
 def _newest_first(graph: CommitGraph, nodes: Iterable[str]) -> list[str]:
     """The commits of ``nodes``, children before parents, ties by
-    descending rank (Kahn's algorithm).  Commits on a cycle are left out."""
+    descending rank (Kahn's algorithm).  ``nodes`` must hold every
+    present parent of its members.  Commits on a cycle are left out."""
     rank = graph._rank
+    parents = graph._parents
     pending = dict.fromkeys(nodes, 0)
     for cid in pending:
-        for p in graph.commits[cid].parents:
-            if p in pending:
-                pending[p] += 1
+        for p in parents[cid]:
+            pending[p] += 1
     heap = [(-rank[cid], cid) for cid, n in pending.items() if n == 0]
     heapq.heapify(heap)
     out: list[str] = []
     while heap:
         cid = heapq.heappop(heap)[1]
         out.append(cid)
-        for p in graph.commits[cid].parents:
-            if p in pending:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    heapq.heappush(heap, (-rank[p], p))
+        for p in parents[cid]:
+            pending[p] -= 1
+            if pending[p] == 0:
+                heapq.heappush(heap, (-rank[p], p))
     return out
 
 
@@ -333,25 +354,33 @@ def strategy_walk(
     """Changeset stream for ``strategy`` starting at ``start`` (inclusive).
 
     Empty changesets never produce entries.  Walk order matches the
-    underlying ancestor enumeration.
+    underlying ancestor enumeration.  Each commit's entry is built once
+    per graph and strategy and shared by every walk that reaches it.
     """
     if strategy is Strategy.FULL:
         order = ancestors_all(graph, start)
     else:
         order = ancestors_first_parent(graph, start)
-    out: list[ChangesetEntry] = []
+    memo = graph._entries[strategy]
     for cid in order:
-        c = graph.commits[cid]
-        if not c.is_merge:
-            files, origin = c.changeset, EntryOrigin.ORDINARY
-        elif strategy is Strategy.FIRST_PARENT_MERGE:
-            files, origin = c.changeset, EntryOrigin.MERGE_FULL_DIFF
-        else:
-            files = additional_changes(graph, cid)
-            origin = EntryOrigin.MERGE_ADDITIONAL_ONLY
-        if files:
-            out.append(ChangesetEntry(cid, files, origin))
-    return out
+        if cid not in memo:
+            memo[cid] = _entry(graph, cid, strategy)
+    return [e for e in map(memo.__getitem__, order) if e is not None]
+
+
+def _entry(
+    graph: CommitGraph, cid: str, strategy: Strategy
+) -> ChangesetEntry | None:
+    """``cid``'s entry under ``strategy``; None when it contributes nothing."""
+    c = graph.commits[cid]
+    if not c.is_merge:
+        files, origin = c.changeset, EntryOrigin.ORDINARY
+    elif strategy is Strategy.FIRST_PARENT_MERGE:
+        files, origin = c.changeset, EntryOrigin.MERGE_FULL_DIFF
+    else:
+        files = additional_changes(graph, cid)
+        origin = EntryOrigin.MERGE_ADDITIONAL_ONLY
+    return ChangesetEntry(cid, files, origin) if files else None
 
 
 def merge_base(graph: CommitGraph, a: str, b: str) -> str | None:

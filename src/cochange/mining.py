@@ -52,12 +52,24 @@ class AssociationRule:
         object.__setattr__(self, "consequent", frozenset(self.consequent))
         if not self.antecedent or not self.consequent:
             raise ValueError("rule sides must be non-empty")
-        if self.antecedent & self.consequent:
+        if not self.antecedent.isdisjoint(self.consequent):
             raise ValueError("rule sides must be disjoint")
-        if not (0 < self.support <= 1):
-            raise ValueError(f"support out of range: {self.support}")
-        if not (self.support <= self.confidence <= 1):
-            raise ValueError(f"confidence out of range: {self.confidence}")
+        s, c = self.support, self.confidence
+        for name, v in (("support", s), ("confidence", c)):
+            if type(v) is bool or not isinstance(v, (Fraction, int)):
+                raise ValueError(
+                    f"{name} must be a Fraction or an int, "
+                    f"not {type(v).__name__}: {v!r}"
+                )
+        # Denominators are positive, so the range checks are integer
+        # cross-products: 0 < s <= 1 and s <= c <= 1.
+        if not (0 < s.numerator <= s.denominator):
+            raise ValueError(f"support out of range: {s}")
+        if not (
+            s.numerator * c.denominator <= c.numerator * s.denominator
+            and c.numerator <= c.denominator
+        ):
+            raise ValueError(f"confidence out of range: {c}")
 
 
 def support(db: Sequence[Transaction], itemset: Iterable[str]) -> Fraction:

@@ -105,10 +105,11 @@ def _walk_before(
 def _collect(
     entries: list[ChangesetEntry], query: Query, config: RecommenderConfig
 ) -> list[Transaction]:
+    cap = config.max_changeset_size
     if config.collector is Collector.SEQUENTIAL:
         kept: list[ChangesetEntry] = []
         for e in entries:
-            if e.files & query.files and len(e.files) <= config.max_changeset_size:
+            if len(e.files) <= cap and not e.files.isdisjoint(query.files):
                 kept.append(e)
                 if len(kept) >= config.max_commits:
                     break
@@ -124,11 +125,7 @@ def _collect(
                     taken += 1
                     if taken >= config.max_commits:
                         break
-        kept = [
-            entries[i]
-            for i in sorted(picked)
-            if len(entries[i].files) <= config.max_changeset_size
-        ]
+        kept = [entries[i] for i in sorted(picked) if len(entries[i].files) <= cap]
     return [Transaction(files=e.files, source_commit=e.commit_id) for e in kept]
 
 
@@ -143,12 +140,12 @@ def collect_commits(
 
 
 def _run_pipeline(
-    entries: list[ChangesetEntry],
+    db: list[Transaction],
     query: Query,
     strategy: Strategy,
     config: RecommenderConfig,
 ) -> PipelineRun:
-    db = _collect(entries, query, config)
+    """Mine and rank ``db``, the transactions collected for ``query``."""
     if db:
         n_raw, rules = top_rules(
             db, config.minsup, config.minconf, config.max_rules
@@ -180,8 +177,8 @@ def recommend(
     tie-breaks; each file appears once, at its best score.  Files already
     in the query are not removed here.
     """
-    walk = _walk_before(graph, query.at_commit, strategy)
-    return _run_pipeline(walk, query, strategy, config).recommendation
+    db = _collect(_walk_before(graph, query.at_commit, strategy), query, config)
+    return _run_pipeline(db, query, strategy, config).recommendation
 
 
 def _fair_pair(*recs: Recommendation) -> tuple[Recommendation, ...]:

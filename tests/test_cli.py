@@ -128,6 +128,22 @@ class TestIngestAndValidate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_path_is_data_error_naming_the_line(self, tmp_path, capsys):
+        snap = snap_of(coupled_graph(), tmp_path)
+        lines = open(snap, encoding="utf-8").read().splitlines()
+        rec = json.loads(lines[1])
+        rec["files"].append("bad\udcff.txt")
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv in (["snapshot-validate", str(bad)],
+                     ["evaluate", "--snapshot", str(bad), "--pair", "full,fp-merge",
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "line 2" in err and "not valid UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_snapshot_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{}\n")

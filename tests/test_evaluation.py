@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     AssociationRule,
@@ -24,8 +26,12 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
+from cochange.evaluation import ExperimentResult, _eligible_cases
+from cochange.history import ancestors_first_parent
+from cochange.recommend import Collector, Query, _collect, _run_pipeline, _walk_before
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
+from synthgen import generic_graph
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
 
@@ -461,3 +467,70 @@ class TestRunExperiment:
         g = eligible_graph()
         result = run_experiment(g, PAIR_NO_MERGE, RecommenderConfig(), False)
         assert result.repo_label == "fixture"
+
+
+def mine_first(graph, commit, strategies, config):
+    """The earlier order: mine every case of ``commit`` under both
+    strategies, then name the first eligibility condition it fails."""
+    cases = generate_test_cases(graph, commit, config.max_changeset_size)
+    if not cases:
+        return "changeset size out of range", []
+    walks = [_walk_before(graph, commit, s) for s in strategies]
+    rows = []
+    for case in cases:
+        query = Query(case.query, case.commit)
+        rows.append((case, *(
+            _run_pipeline(_collect(walk, query, config), query, s, config)
+            for walk, s in zip(walks, strategies)
+        )))
+    runs = [run for row in rows for run in row[1:]]
+
+    def fingerprint(db):
+        return [(t.source_commit, t.files) for t in db]
+
+    if all(fingerprint(ra.db) == fingerprint(rb.db) for _, ra, rb in rows):
+        return "identical changesets", []
+    if not any(len(run.db) >= 5 for run in runs):
+        return "fewer than five changesets", []
+    if not any(run.n_raw_rules for run in runs):
+        return "no association rules generated", []
+    return None, rows
+
+
+@st.composite
+def evaluation_inputs(draw):
+    graph = generic_graph(draw(st.integers(0, 10_000)), draw(st.integers(10, 90)))
+    strategies = tuple(draw(st.permutations(list(Strategy)))[:2])
+    fractions = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1)])
+    config = RecommenderConfig(
+        minsup=draw(fractions),
+        minconf=draw(fractions),
+        max_changeset_size=draw(st.integers(2, 10)),
+        max_commits=draw(st.integers(1, 12)),
+        max_rules=draw(st.integers(1, 10)),
+        collector=draw(st.sampled_from(list(Collector))),
+    )
+    return graph, strategies, config
+
+
+class TestEligibilityBeforeMining:
+    @settings(max_examples=80)
+    @given(drawn=evaluation_inputs())
+    def test_same_reasons_counters_and_rows_as_mine_first(self, drawn):
+        graph, strategies, config = drawn
+        result = ExperimentResult(*strategies, fairness=False)
+        rows = list(_eligible_cases(graph, strategies, config, result))
+        chain = ancestors_first_parent(graph, graph.head)
+        expected_rows, reasons = [], Counter()
+        for commit in chain:
+            reason, commit_rows = mine_first(graph, commit, strategies, config)
+            assert eligible(graph, commit, strategies, config) == (
+                reason is None, reason
+            )
+            reasons.update([reason] if reason else [])
+            expected_rows += commit_rows
+        assert rows == expected_rows
+        assert result.ineligible_reasons == reasons
+        assert result.commits_considered == len(chain)
+        assert result.commits_eligible == len(chain) - sum(reasons.values())
+        assert result.errors == []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     Commit,
@@ -15,9 +15,14 @@ from cochange import (
     merge_commit_size,
     strategy_walk,
 )
-from cochange.history import validate_commit_id, validate_file_path, _reachable
+from cochange.history import (
+    ChangesetEntry,
+    _reachable,
+    validate_commit_id,
+    validate_file_path,
+)
 
-from conftest import build_graph, hid, mk_commit, random_dags
+from conftest import build_graph, hid, mk_commit, names_of, random_dags
 from synthgen import generic_graph
 
 
@@ -44,6 +49,14 @@ class TestValidation:
         for bad in ["", "/abs.txt", "a/../b", "./x", "a//b", "a/./b"]:
             with pytest.raises(ValueError):
                 validate_file_path(bad)
+
+    def test_file_path_must_be_utf8(self):
+        validate_file_path("docs/caf\u00e9/\u65e5\u672c.txt")
+        # a non-UTF-8 byte as git output decodes it (surrogate escape)
+        with pytest.raises(ValueError, match="not valid UTF-8: 'bad\\\\udcff.txt'"):
+            validate_file_path("bad\udcff.txt")
+        with pytest.raises(ValueError, match="not valid UTF-8"):
+            mk_commit("A", [], 1, ["ok.txt", "bad\udcff.txt"])
 
     @staticmethod
     def graph_with_merge(merge_files, merge_eq):
@@ -169,6 +182,17 @@ def reference_newest_first(graph, nodes):
     return out
 
 
+def reference_reachable(graph, start):
+    reach = {start}
+    while True:
+        more = {
+            p for c in reach for p in graph.commits[c].parents if p in graph.commits
+        } - reach
+        if not more:
+            return reach
+        reach |= more
+
+
 class TestWalkOrderAgainstReference:
     @settings(max_examples=300)
     @given(graph=random_dags())
@@ -177,20 +201,101 @@ class TestWalkOrderAgainstReference:
             graph, graph.commits
         )
         for start in graph.commits:
-            reach = {start}
-            while True:
-                more = {
-                    p
-                    for c in reach
-                    for p in graph.commits[c].parents
-                    if p in graph.commits
-                } - reach
-                if not more:
-                    break
-                reach |= more
             assert ancestors_all(graph, start) == reference_newest_first(
-                graph, reach
+                graph, reference_reachable(graph, start)
             )
+
+
+@st.composite
+def dags_with_merge_diffs(draw):
+    """Small DAGs whose commits change a few files of a shared pool and
+    whose merges (octopus ones included) carry random equality flags, so
+    a merge's full diff and its additional changes differ.  Any parent,
+    a first one included, may lie beyond a shallow boundary."""
+    boundaries = [f"edge{j}" for j in range(draw(st.integers(0, 2)))]
+    commits = []
+    for i in range(draw(st.integers(1, 12))):
+        pool = [f"n{j}" for j in range(i)] + boundaries
+        parents = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)
+                       if pool else st.just([]))
+        files = draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+        flags = None
+        if len(parents) >= 2:
+            others = st.tuples(*[st.booleans()] * (len(parents) - 1))
+            flags = {f: (False, *draw(others)) for f in files}
+        commits.append(mk_commit(f"n{i}", parents, draw(st.integers(0, 3)),
+                                 files, flags))
+    return build_graph(commits, f"n{len(commits) - 1}", boundaries)
+
+
+def reference_walk(graph, start, strategy):
+    """``strategy_walk`` from scratch: the ancestor order, then each
+    commit's files under the strategy's rule for merges."""
+    if strategy is Strategy.FULL:
+        order = reference_newest_first(graph, reference_reachable(graph, start))
+    else:
+        order, cur = [], start
+        while cur in graph.commits:
+            order.append(cur)
+            cur = (graph.commits[cur].parents or (None,))[0]
+    out = []
+    for cid in order:
+        c = graph.commits[cid]
+        if len(c.parents) < 2:
+            files, origin = c.changeset, EntryOrigin.ORDINARY
+        elif strategy is Strategy.FIRST_PARENT_MERGE:
+            files, origin = c.changeset, EntryOrigin.MERGE_FULL_DIFF
+        else:
+            files = frozenset(f for f in c.changeset if not any(c.merge_eq[f]))
+            origin = EntryOrigin.MERGE_ADDITIONAL_ONLY
+        if files:
+            out.append(ChangesetEntry(cid, files, origin))
+    return out
+
+
+class TestWalkMemoAgainstReference:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_memoised_walks_match_reference_and_fresh_graph(self, data):
+        graph = data.draw(dags_with_merge_diffs())
+        # visiting starts in random order warms the memo from other starts
+        visits = data.draw(st.permutations(
+            [(s, cid) for s in Strategy for cid in sorted(graph.commits)]
+        ))
+        for strategy, start in visits:
+            walk = strategy_walk(graph, start, strategy)
+            fresh = CommitGraph(graph.commits, graph.head, graph.boundaries)
+            assert walk == reference_walk(graph, start, strategy)
+            assert walk == strategy_walk(fresh, start, strategy)
+
+    def test_boundary_first_parent_ends_the_chain(self):
+        commits = [
+            mk_commit("A", [], 1, ["a"]),
+            mk_commit("M", ["edge", "A"], 2, ["a", "m"],
+                      {"a": (False, True), "m": (False, False)}),
+            mk_commit("T", ["M"], 3, ["t"]),
+        ]
+        g = build_graph(commits, "T", boundaries=["edge"])
+        names = names_of("A", "M", "T")
+        for strategy, expected in [
+            (Strategy.FIRST_PARENT_NO_MERGE, ["T", "M"]),
+            (Strategy.FIRST_PARENT_MERGE, ["T", "M"]),
+            (Strategy.FULL, ["T", "M", "A"]),
+        ]:
+            assert walk_tags(g, "T", strategy, names) == expected
+            assert strategy_walk(g, hid("T"), strategy) == reference_walk(
+                g, hid("T"), strategy
+            )
+
+    def test_each_entry_is_built_once_per_strategy(self):
+        g = generic_graph(seed=5, n_commits=80)
+        chain = ancestors_first_parent(g, g.head)
+        first = {
+            e.commit_id: e for e in strategy_walk(g, g.head, Strategy.FULL)
+        }
+        for start in chain[1:]:
+            for e in strategy_walk(g, start, Strategy.FULL):
+                assert e is first[e.commit_id]
 
 
 class TestAdditionalChanges:

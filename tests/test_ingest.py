@@ -81,6 +81,20 @@ class TestIngestLinear:
             ingest_repository(tmp_path)
 
 
+class TestIngestNonUtf8Paths:
+    def test_non_utf8_name_is_rejected_naming_commit_and_path(self, git_sandbox):
+        s = git_sandbox
+        s.commit("one", {"ok.txt": "1"})
+        # the surrogate escape writes the file name's raw byte 0xff
+        (s.path / "bad\udcff.txt").write_text("x")
+        bad = s.commit("two", {})
+        with pytest.raises(IngestError) as exc:
+            ingest_repository(s.path)
+        message = str(exc.value)
+        assert message.startswith(f"commit {bad}: ")
+        assert "not valid UTF-8: 'bad\\udcff.txt'" in message
+
+
 class TestIngestMerges:
     def test_clean_merge(self, git_sandbox):
         s = git_sandbox
@@ -355,6 +369,15 @@ class TestSnapshotValidation:
         lines = lines_of(merge_graph, tmp_path)
         lines[2] = raw
         with pytest.raises(SnapshotError) as exc:
+            load_snapshot(write_lines(tmp_path, lines))
+        assert exc.value.line == 3
+
+    def test_escaped_non_utf8_path_names_its_line(self, merge_graph, tmp_path):
+        lines = lines_of(merge_graph, tmp_path)
+        rec = json.loads(lines[2])
+        rec["files"].append("bad\udcff.txt")
+        lines[2] = json.dumps(rec)  # ASCII text: the surrogate is a \\u escape
+        with pytest.raises(SnapshotError, match="not valid UTF-8") as exc:
             load_snapshot(write_lines(tmp_path, lines))
         assert exc.value.line == 3
 

@@ -102,6 +102,46 @@ class TestTransactionAndRuleValidation:
                 frozenset(), frozenset({"b"}), Fraction(1, 2), Fraction(1, 2)
             )
 
+    @staticmethod
+    def rule(sup, conf):
+        return AssociationRule(frozenset({"a"}), frozenset({"b"}), sup, conf)
+
+    @pytest.mark.parametrize("sup, conf, message", [
+        (Fraction(0), Fraction(1, 2), "support out of range: 0"),
+        (Fraction(-1, 3), Fraction(1, 2), "support out of range: -1/3"),
+        (Fraction(5, 4), Fraction(5, 4), "support out of range: 5/4"),
+        (2, 2, "support out of range: 2"),
+        (Fraction(1, 2), Fraction(49, 100), "confidence out of range: 49/100"),
+        (Fraction(1, 3), Fraction(1, 4), "confidence out of range: 1/4"),
+        (Fraction(1, 2), Fraction(101, 100), "confidence out of range: 101/100"),
+        (Fraction(1, 2), 2, "confidence out of range: 2"),
+    ])
+    def test_rule_range_boundaries_rejected(self, sup, conf, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.rule(sup, conf)
+
+    @pytest.mark.parametrize("sup, conf", [
+        (Fraction(1, 1000), Fraction(1, 1000)),  # support just above 0
+        (Fraction(1, 3), Fraction(2, 6)),  # confidence equal to support
+        (Fraction(1, 2), Fraction(1)),  # confidence at 1
+        (1, 1),  # int inputs at the top of both ranges
+        (Fraction(1, 4), 1),
+    ])
+    def test_rule_range_boundaries_accepted(self, sup, conf):
+        r = self.rule(sup, conf)
+        assert (r.support, r.confidence) == (sup, conf)
+
+    @pytest.mark.parametrize("sup, conf, field", [
+        (0.5, Fraction(1, 2), "support"),
+        (True, Fraction(1), "support"),
+        (Fraction(1, 2), 0.75, "confidence"),
+        (Fraction(1, 2), True, "confidence"),
+        ("1/2", Fraction(1, 2), "support"),
+    ])
+    def test_rule_rejects_non_rational_values(self, sup, conf, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a Fraction or an int"):
+            self.rule(sup, conf)
+
 
 class TestApriori:
     def test_worked_example_rules(self):
