@@ -9,7 +9,7 @@ co-change information is against future history.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .history import (
     CommitGraph,
+    _merge_commit,
     ancestors_first_parent,
     branch_commits,
     branch_length,
@@ -110,9 +111,6 @@ class Cohort(Enum):
     SIX_PLUS = "six-plus"  # many causing merges, median-split bins
 
 
-Characteristic = str  # "branch_length" | "merge_size"
-
-
 @dataclass(frozen=True)
 class WinnerRateBin:
     low: int
@@ -178,14 +176,14 @@ def winner_rate_table(
         size = base + (1 if b < extra else 0)
         chunk = keyed[pos : pos + size]
         pos += size
-        verdicts = [v for _, _, v in chunk]
+        tally = Counter(v for _, _, v in chunk)
         out.append(
             WinnerRateBin(
                 low=chunk[0][0],
                 high=chunk[-1][0],
-                wins_a=sum(v is PairedVerdict.WIN_A for v in verdicts),
-                wins_b=sum(v is PairedVerdict.WIN_B for v in verdicts),
-                draws=sum(v is PairedVerdict.DRAW for v in verdicts),
+                wins_a=tally[PairedVerdict.WIN_A],
+                wins_b=tally[PairedVerdict.WIN_B],
+                draws=tally[PairedVerdict.DRAW],
                 n=len(chunk),
             )
         )
@@ -216,12 +214,10 @@ def eligible_merges_for_cochange(graph: CommitGraph) -> list[str]:
         if not c.is_merge:
             continue
         commits = branch_commits(graph, cid)
-        if len(commits) <= 1:
-            union: set[str] = set()
-            for b in commits:
-                union |= graph.commits[b].changeset
-            if frozenset(union) == c.changeset:
-                continue
+        if len(commits) <= 1 and c.changeset == frozenset().union(
+            *(graph.commits[b].changeset for b in commits)
+        ):
+            continue
         out.append(cid)
     return out
 
@@ -321,9 +317,7 @@ def cochange_study(
         branch_changesets = [
             graph.commits[b].changeset for b in sorted(info.branch_commit_ids)
         ]
-        targets: set[str] = set(merge_changeset)
-        for cs in branch_changesets:
-            targets |= cs
+        targets = merge_changeset.union(*branch_changesets)
         for mode, sources in (
             (CochangeMode.FROM_MERGE, [merge_changeset]),
             (CochangeMode.FROM_BRANCH, branch_changesets),
@@ -353,9 +347,7 @@ def _pairs(files: Iterable[str]) -> set[frozenset[str]]:
 def added_cochange_count(graph: CommitGraph, merge: str) -> int:
     """How many file pairs of the squashed merge diff no branch commit
     changed together."""
-    c = graph.commit(merge)
-    if not c.is_merge:
-        raise ValueError(f"added_cochange_count requires a merge: {merge}")
+    c = _merge_commit(graph, merge, "added_cochange_count")
     branch_pairs: set[frozenset[str]] = set()
     for b in branch_commits(graph, merge):
         branch_pairs |= _pairs(graph.commits[b].changeset)

@@ -9,11 +9,11 @@ themselves carry no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -47,9 +47,11 @@ from .ingest import (
     load_snapshot,
     save_snapshot,
 )
+from .mining import _validate_threshold
 from .recommend import Collector, Query, RecommenderConfig, recommend
 from .reporting import (
     _frac_of,
+    errors_line,
     fmt_decimal,
     frac_json,
     precision_summary,
@@ -57,6 +59,7 @@ from .reporting import (
     summarize_experiment,
     write_json,
     write_precision_csv,
+    write_csv,
     write_records_csv,
     write_winner_rate_csv,
 )
@@ -87,22 +90,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fraction(text: str) -> Fraction:
+def _threshold(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _validate_threshold("threshold", Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1]: {text!r}")
+
+
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
 
 
 def _cap_value(text: str):
-    if text in ("none", "median"):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--cap takes an integer, 'median', or 'none': {text!r}"
-        )
+    return text if text in ("none", "median") else _int_at_least(0, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="JSON config file; explicit flags take precedence")
-    p.add_argument("--minsup", type=_fraction, default=None)
-    p.add_argument("--minconf", type=_fraction, default=None)
-    p.add_argument("--max-commits", type=int, default=None)
-    p.add_argument("--max-changeset-size", type=int, default=None)
-    p.add_argument("--max-rules", type=int, default=None)
+    p.add_argument("--minsup", type=_threshold, default=None)
+    p.add_argument("--minconf", type=_threshold, default=None)
+    p.add_argument("--max-commits", type=_positive_int, default=None)
+    p.add_argument("--max-changeset-size", type=_positive_int, default=None)
+    p.add_argument("--max-rules", type=_positive_int, default=None)
     p.add_argument("--collector", choices=sorted(_COLLECTORS), default=None,
                    help="override the default or profile collector")
 
@@ -270,7 +280,7 @@ def _resolve_out_dir(args, file_config: dict) -> Path:
     if out is None:
         out = file_config.get("output_dir")
     if out is None:
-        raise SystemExit(_usage_error(
+        raise SystemExit(_error(
             "no output directory: pass --out, set "
             f"{OUTPUT_DIR_ENV}, or put output_dir in the config file"
         ))
@@ -279,14 +289,10 @@ def _resolve_out_dir(args, file_config: dict) -> Path:
     return path
 
 
-def _usage_error(message: str) -> int:
+def _error(message: str, code: int = 1) -> int:
+    """Report ``message``; return ``code`` (1 usage error, 2 data error)."""
     print(f"cochange: error: {message}", file=sys.stderr)
-    return 1
-
-
-def _data_error(message: str) -> int:
-    print(f"cochange: error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _sha256(path: str | Path) -> str:
@@ -339,24 +345,23 @@ def _resolve_commit(graph, text: str) -> str:
     raise KeyError(f"ambiguous commit prefix: {text}")
 
 
+def _graph_line(graph) -> str:
+    merges = sum(1 for c in graph.commits.values() if c.is_merge)
+    return (
+        f"{len(graph.commits)} commits ({merges} merges), "
+        f"{len(graph.boundaries)} boundary parents, head {graph.head}"
+    )
+
+
 def _cmd_ingest(args) -> int:
     graph = ingest_repository(args.repo, args.ref, args.label)
     save_snapshot(graph, args.out)
-    merges = sum(1 for c in graph.commits.values() if c.is_merge)
-    print(
-        f"wrote {args.out}: {len(graph.commits)} commits ({merges} merges), "
-        f"{len(graph.boundaries)} boundary parents, head {graph.head}"
-    )
+    print(f"wrote {args.out}: {_graph_line(graph)}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    graph = load_snapshot(args.snapshot)
-    merges = sum(1 for c in graph.commits.values() if c.is_merge)
-    print(
-        f"ok: {len(graph.commits)} commits ({merges} merges), "
-        f"{len(graph.boundaries)} boundary parents, head {graph.head}"
-    )
+    print(f"ok: {_graph_line(load_snapshot(args.snapshot))}")
     return 0
 
 
@@ -367,7 +372,7 @@ def _cmd_recommend(args) -> int:
     at = _resolve_commit(graph, args.at)
     files = frozenset(f for f in args.files.split(",") if f)
     if not files:
-        return _usage_error("--files must name at least one file")
+        return _error("--files must name at least one file")
     query = Query(files, at)
     rec = recommend(graph, query, _STRATEGIES[args.strategy], config)
     if args.json:
@@ -433,7 +438,7 @@ def _pair_settings(
 
 def _refuse_overrides(overrides: list[str], pair: str, hint: str = "") -> None:
     if overrides:
-        raise SystemExit(_usage_error(
+        raise SystemExit(_error(
             f"{' and '.join(overrides)} contradict the {pair} profile{hint}"))
 
 
@@ -463,7 +468,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_branches(args) -> int:
     if args.bins < 1:
-        return _usage_error("--bins must be positive")
+        return _error("--bins must be positive")
     file_config = _load_config_file(args.config)
     strategies = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
     collector, _ = _PROFILES[("full", "fp-merge")]
@@ -495,6 +500,7 @@ def _cmd_analyze_branches(args) -> int:
     pairs = [(d, v) for d, v in kept if isinstance(d, CausalDiagnosis)]
     equal_collections = sum(d is None for d, _ in kept)
     unattributed = sum(d is _UNATTRIBUTED for d, _ in kept)
+    hist = Counter(d.n_causing for d, _ in pairs)
 
     outputs = []
     for characteristic in ("branch_length", "merge_size"):
@@ -517,7 +523,7 @@ def _cmd_analyze_branches(args) -> int:
         "cases_diagnosed": len(pairs),
         "cases_equal_collections": equal_collections,
         "cases_unattributed": unattributed,
-        "causing_merges_histogram": _histogram(d.n_causing for d, _ in pairs),
+        "causing_merges_histogram": {str(k): hist[k] for k in sorted(hist)},
     }
     write_json(summary, out_dir / "branch_analysis.json")
     outputs.append("branch_analysis.json")
@@ -534,8 +540,7 @@ def _cmd_analyze_branches(args) -> int:
         outputs,
     )
     if counters.errors:
-        commit, error = counters.errors[0]
-        print(f"errors: {len(counters.errors)} (first: {commit}: {error})",
+        print(errors_line(len(counters.errors), *counters.errors[0]),
               file=sys.stderr)
     print(
         f"{len(pairs)} diagnosed cases ({equal_collections} with equal "
@@ -544,16 +549,9 @@ def _cmd_analyze_branches(args) -> int:
     return 0
 
 
-def _histogram(values) -> dict[str, int]:
-    hist: dict[str, int] = {}
-    for v in values:
-        hist[str(v)] = hist.get(str(v), 0) + 1
-    return dict(sorted(hist.items(), key=lambda kv: int(kv[0])))
-
-
 def _cmd_analyze_cochange(args) -> int:
     if args.horizon < 1:
-        return _usage_error("--horizon must be positive")
+        return _error("--horizon must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
@@ -577,7 +575,7 @@ def _cmd_analyze_cochange(args) -> int:
 
 def _cmd_sample_merges(args) -> int:
     if args.n < 1:
-        return _usage_error("--n must be positive")
+        return _error("--n must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
@@ -585,22 +583,13 @@ def _cmd_sample_merges(args) -> int:
     rows = []
     for cid in sampled:
         info = branch_info(graph, cid)
-        rows.append(
-            {
-                "merge_id": cid,
-                "added_cochanges": added_cochange_count(graph, cid),
-                "branch_length": info.branch_length,
-                "merge_size": info.merge_size,
-            }
-        )
-    with open(out_dir / "sampled_merges.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["merge_id", "added_cochanges", "branch_length", "merge_size"])
-        for row in rows:
-            writer.writerow(
-                [row["merge_id"], row["added_cochanges"],
-                 row["branch_length"], row["merge_size"]]
-            )
+        rows.append([cid, added_cochange_count(graph, cid),
+                     info.branch_length, info.merge_size])
+    write_csv(
+        out_dir / "sampled_merges.csv",
+        ["merge_id", "added_cochanges", "branch_length", "merge_size"],
+        rows,
+    )
     _write_metadata(
         out_dir,
         "sample-merges",
@@ -608,9 +597,9 @@ def _cmd_sample_merges(args) -> int:
         {"min_added": args.min_added, "n": args.n, "seed": args.seed},
         ["sampled_merges.csv"],
     )
-    for row in rows:
-        print(row["merge_id"])
-    print(f"{len(rows)} merges -> {out_dir / 'sampled_merges.csv'}")
+    for cid in sampled:
+        print(cid)
+    print(f"{len(sampled)} merges -> {out_dir / 'sampled_merges.csv'}")
     return 0
 
 
@@ -620,9 +609,9 @@ def _cmd_report(args) -> int:
         try:
             summaries.append(json.loads(Path(path).read_text(encoding="utf-8")))
         except OSError as exc:
-            return _data_error(f"cannot read summary: {exc}")
+            return _error(f"cannot read summary: {exc}", 2)
         except json.JSONDecodeError as exc:
-            return _data_error(f"{path} is not valid JSON: {exc.msg}")
+            return _error(f"{path} is not valid JSON: {exc.msg}", 2)
     print(render_summary_tables(summaries))
     return 0
 
@@ -639,9 +628,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (SnapshotError, IngestError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
-        return _data_error(str(message))
+        return _error(str(message), 2)
     except ValueError as exc:
-        return _data_error(str(exc))
+        return _error(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -215,20 +215,20 @@ def pairwise_verdict(
     """
     if rec_a.test_case != rec_b.test_case:
         raise ValueError("pairwise verdict requires records of the same case")
-    if rec_a.average_precision != rec_b.average_precision:
-        return (
-            PairedVerdict.WIN_A
-            if rec_a.average_precision > rec_b.average_precision
-            else PairedVerdict.WIN_B
+    ap_a, ap_b = rec_a.average_precision, rec_b.average_precision
+    if ap_a == ap_b == 0:
+        return _compare(
+            rec_a.outcome is Outcome.NO_PREDICTION,
+            rec_b.outcome is Outcome.NO_PREDICTION,
         )
-    if rec_a.average_precision == 0:
-        a_silent = rec_a.outcome is Outcome.NO_PREDICTION
-        b_silent = rec_b.outcome is Outcome.NO_PREDICTION
-        if a_silent and not b_silent:
-            return PairedVerdict.WIN_A
-        if b_silent and not a_silent:
-            return PairedVerdict.WIN_B
-    return PairedVerdict.DRAW
+    return _compare(ap_a, ap_b)
+
+
+def _compare(a, b) -> PairedVerdict:
+    """WIN_A when ``a`` is greater, WIN_B when ``b`` is, else DRAW."""
+    if a == b:
+        return PairedVerdict.DRAW
+    return PairedVerdict.WIN_A if a > b else PairedVerdict.WIN_B
 
 
 class WilcoxonResult(NamedTuple):
@@ -342,11 +342,9 @@ def repo_level_winner(
     if len(records_a) != len(records_b) or not records_a:
         raise ValueError("paired, non-empty record lists required")
     if metric == "success_rate":
-        sa = aggregate_rates(records_a)[0]
-        sb = aggregate_rates(records_b)[0]
-        if sa == sb:
-            return PairedVerdict.DRAW
-        return PairedVerdict.WIN_A if sa > sb else PairedVerdict.WIN_B
+        return _compare(
+            aggregate_rates(records_a)[0], aggregate_rates(records_b)[0]
+        )
     if metric == "map_all":
         pairs = [
             (a.average_precision, b.average_precision)
@@ -355,18 +353,12 @@ def repo_level_winner(
         result = wilcoxon_signed_rank(pairs)
         if result.p_value is None or result.p_value >= ALPHA:
             return PairedVerdict.DRAW
-        ma, mb = map_all(records_a), map_all(records_b)
-        if ma == mb:
-            return PairedVerdict.DRAW
-        return PairedVerdict.WIN_A if ma > mb else PairedVerdict.WIN_B
+        return _compare(map_all(records_a), map_all(records_b))
     if metric == "wins":
         verdicts = Counter(
             pairwise_verdict(a, b) for a, b in zip(records_a, records_b)
         )
-        wa, wb = verdicts[PairedVerdict.WIN_A], verdicts[PairedVerdict.WIN_B]
-        if wa == wb:
-            return PairedVerdict.DRAW
-        return PairedVerdict.WIN_A if wa > wb else PairedVerdict.WIN_B
+        return _compare(verdicts[PairedVerdict.WIN_A], verdicts[PairedVerdict.WIN_B])
     raise ValueError(f"unknown metric: {metric}")
 
 

@@ -174,6 +174,8 @@ class CommitGraph:
             raise ValueError("commit graph must contain at least one commit")
         if self.head not in self.commits:
             raise ValueError(f"head {self.head!r} is not in the graph")
+        for b in sorted(self.boundaries):
+            validate_commit_id(b)
         if self.boundaries & self.commits.keys():
             raise ValueError("boundary ids must not also be present commits")
         for cid, c in self.commits.items():
@@ -336,15 +338,21 @@ def ancestors_all(graph: CommitGraph, start: str) -> list[str]:
     return _newest_first(graph, _reachable(graph, start))
 
 
+def _merge_commit(graph: CommitGraph, merge: str, caller: str) -> Commit:
+    """The commit ``merge``; ValueError naming ``caller`` if not a merge."""
+    c = graph.commit(merge)
+    if not c.is_merge:
+        raise ValueError(f"{caller} requires a merge commit: {merge}")
+    return c
+
+
 def additional_changes(graph: CommitGraph, merge: str) -> frozenset[str]:
     """Files whose merged content differs from every parent.
 
     These are the changes a merge introduces beyond what either side
     brought in, typically conflict resolutions.
     """
-    c = graph.commit(merge)
-    if not c.is_merge:
-        raise ValueError(f"additional_changes requires a merge commit: {merge}")
+    c = _merge_commit(graph, merge, "additional_changes")
     return frozenset(f for f in c.changeset if not any(c.merge_eq[f]))
 
 
@@ -416,8 +424,7 @@ def branch_commits(graph: CommitGraph, merge: str) -> frozenset[str]:
     are never included.  Disjoint histories contribute nothing.  The
     first call on a graph builds the table for every merge.
     """
-    if not graph.commit(merge).is_merge:
-        raise ValueError(f"branch_commits requires a merge commit: {merge}")
+    _merge_commit(graph, merge, "branch_commits")
     return graph._branch_table[merge]
 
 
@@ -428,7 +435,4 @@ def branch_length(graph: CommitGraph, merge: str) -> int:
 
 def merge_commit_size(graph: CommitGraph, merge: str) -> int:
     """Number of files changed by ``merge`` relative to its first parent."""
-    c = graph.commit(merge)
-    if not c.is_merge:
-        raise ValueError(f"merge_commit_size requires a merge commit: {merge}")
-    return len(c.changeset)
+    return len(_merge_commit(graph, merge, "merge_commit_size").changeset)

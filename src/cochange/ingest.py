@@ -11,7 +11,7 @@ import json
 import subprocess
 from pathlib import Path
 
-from .history import Commit, CommitGraph
+from .history import Commit, CommitGraph, validate_commit_id
 
 FORMAT_VERSION = 1
 
@@ -107,6 +107,11 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         if not isinstance(header[key], str):
             raise SnapshotError(f"{key} must be a string", 1)
     boundaries = frozenset(_list_of(str, header["boundaries"], "boundaries", 1))
+    for b in sorted(boundaries):
+        try:
+            validate_commit_id(b)
+        except ValueError as exc:
+            raise SnapshotError(f"boundaries: {exc}", 1) from None
     commits: dict[str, Commit] = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

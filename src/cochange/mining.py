@@ -35,11 +35,6 @@ class Transaction:
             raise ValueError("transaction must contain at least one file")
 
 
-# A transaction database is simply an ordered list of transactions,
-# newest first.  Order matters to the collectors, not to the miner.
-TransactionDatabase = list[Transaction]
-
-
 @dataclass(frozen=True)
 class AssociationRule:
     antecedent: frozenset[str]
@@ -112,13 +107,15 @@ def _validate_threshold(name: str, value: Fraction) -> Fraction:
 
 
 def _frequent_itemsets(
-    tx: list[frozenset[str]], n: int, minsup: Fraction
+    db: Sequence[Transaction], minsup: Fraction
 ) -> dict[frozenset[str], int]:
     """Level-wise frequent itemset counts.
 
     (k+1)-candidates are joined from frequent k-itemsets sharing a
     (k-1)-prefix and pruned unless every k-subset is frequent.
     """
+    tx = [t.files for t in db]
+    n = len(tx)
     counts: dict[frozenset[str], int] = {}
     singles = Counter(f for t in tx for f in t)
     level = []
@@ -151,12 +148,12 @@ def _frequent_itemsets(
 
 def _mining_input(
     db: Sequence[Transaction], minsup: Fraction, minconf: Fraction
-) -> tuple[list[frozenset[str]], Fraction, Fraction]:
+) -> tuple[Fraction, Fraction]:
+    """The validated thresholds; ValueError on an empty ``db``."""
     if not db:
         raise ValueError("cannot mine an empty transaction database")
-    minsup = _validate_threshold("minsup", minsup)
-    minconf = _validate_threshold("minconf", minconf)
-    return [t.files for t in db], minsup, minconf
+    return (_validate_threshold("minsup", minsup),
+            _validate_threshold("minconf", minconf))
 
 
 def apriori(
@@ -168,9 +165,9 @@ def apriori(
     size >= 2; consequents of any size are produced here (the
     single-consequent restriction lives in filter_rules).
     """
-    tx, minsup, minconf = _mining_input(db, minsup, minconf)
+    minsup, minconf = _mining_input(db, minsup, minconf)
     n = len(db)
-    counts = _frequent_itemsets(tx, n, minsup)
+    counts = _frequent_itemsets(db, minsup)
 
     rules: set[AssociationRule] = set()
     for itemset, c_all in counts.items():
@@ -200,9 +197,9 @@ def single_consequent_rules(
     it yields a single-consequent one (shrinking the consequent can only
     raise confidence), so even rule existence is preserved.
     """
-    tx, minsup, minconf = _mining_input(db, minsup, minconf)
+    minsup, minconf = _mining_input(db, minsup, minconf)
     n = len(db)
-    counts = _frequent_itemsets(tx, n, minsup)
+    counts = _frequent_itemsets(db, minsup)
 
     rules: list[AssociationRule] = []
     for itemset, c_all in counts.items():
@@ -256,7 +253,7 @@ def top_rules(
     mask (Eclat's vertical tidsets).  With n fixed, support c_all/n and confidence
     c_all/c_x rank exactly as the key (-c_all, c_x, len(x), x, item).
     """
-    _, minsup, minconf = _mining_input(db, minsup, minconf)
+    minsup, minconf = _mining_input(db, minsup, minconf)
     if max_rules < 1:
         raise ValueError("max_rules must be positive")
     n = len(db)

@@ -177,7 +177,7 @@ def recommend(
     tie-breaks; each file appears once, at its best score.  Files already
     in the query are not removed here.
     """
-    db = _collect(_walk_before(graph, query.at_commit, strategy), query, config)
+    db = collect_commits(graph, query, strategy, config)
     return _run_pipeline(db, query, strategy, config).recommendation
 
 

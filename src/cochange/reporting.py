@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .branches import (
     BranchInfo,
@@ -70,37 +72,36 @@ def _record_row(record: EvaluationRecord) -> list[str]:
     ]
 
 
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records_csv(result: ExperimentResult, path: str | Path) -> None:
     """One row per record; each test case contributes both strategies'
     rows back to back, in experiment order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for row_a, row_b in zip(result.records_a, result.records_b):
-            writer.writerow(_record_row(row_a))
-            writer.writerow(_record_row(row_b))
+    write_csv(
+        path,
+        RECORD_COLUMNS,
+        (_record_row(r) for pair in zip(result.records_a, result.records_b) for r in pair),
+    )
 
 
 def _strategy_summary(
     records: Sequence[EvaluationRecord], wins: int
 ) -> dict:
-    if not records:
-        return {
-            "events": 0,
-            "wins": wins,
-            "mean_recommendations": None,
-            "mean_rules": None,
-            "success_rate": None,
-            "failure_rate": None,
-            "no_prediction_rate": None,
-            "map_all": None,
-            "map_app": None,
-        }
-    success, failure, no_pred, mean_recs, mean_rules = aggregate_rates(records)
-    try:
-        m_app = map_app(records)
-    except ValueError:
-        m_app = None
+    """Per-strategy rates; every rate is None when there are no records."""
+    rates, m_all, m_app = (None,) * 5, None, None
+    if records:
+        rates, m_all = aggregate_rates(records), map_all(records)
+        try:
+            m_app = map_app(records)
+        except ValueError:
+            pass
+    success, failure, no_pred, mean_recs, mean_rules = rates
     return {
         "events": len(records),
         "wins": wins,
@@ -109,7 +110,7 @@ def _strategy_summary(
         "success_rate": frac_json(success),
         "failure_rate": frac_json(failure),
         "no_prediction_rate": frac_json(no_pred),
-        "map_all": frac_json(map_all(records)),
+        "map_all": frac_json(m_all),
         "map_app": frac_json(m_app),
     }
 
@@ -117,9 +118,7 @@ def _strategy_summary(
 def summarize_experiment(result: ExperimentResult) -> dict:
     """JSON-ready summary of one paired evaluation run."""
     a, b = result.strategy_a, result.strategy_b
-    wins_a = sum(v is PairedVerdict.WIN_A for v in result.verdicts)
-    wins_b = sum(v is PairedVerdict.WIN_B for v in result.verdicts)
-    draws = sum(v is PairedVerdict.DRAW for v in result.verdicts)
+    tally = Counter(result.verdicts)
     summary = {
         "repo_label": result.repo_label,
         "strategy_pair": [a.value, b.value],
@@ -129,10 +128,10 @@ def summarize_experiment(result: ExperimentResult) -> dict:
         "commits_eligible": result.commits_eligible,
         "ineligible_reasons": dict(sorted(result.ineligible_reasons.items())),
         "per_strategy": {
-            a.value: _strategy_summary(result.records_a, wins_a),
-            b.value: _strategy_summary(result.records_b, wins_b),
+            a.value: _strategy_summary(result.records_a, tally[PairedVerdict.WIN_A]),
+            b.value: _strategy_summary(result.records_b, tally[PairedVerdict.WIN_B]),
         },
-        "draws": draws,
+        "draws": tally[PairedVerdict.DRAW],
         "errors": [
             {"commit": cid, "error": msg} for cid, msg in result.errors
         ],
@@ -175,31 +174,25 @@ def write_json(payload, path: str | Path) -> None:
 def write_winner_rate_csv(
     bins: Sequence[WinnerRateBin], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "wins_full", "wins_fp", "draws", "n"])
-        for b in bins:
-            writer.writerow([b.low, b.high, b.wins_a, b.wins_b, b.draws, b.n])
+    write_csv(
+        path,
+        ["bin_low", "bin_high", "wins_full", "wins_fp", "draws", "n"],
+        ([b.low, b.high, b.wins_a, b.wins_b, b.draws, b.n] for b in bins),
+    )
 
 
 def write_precision_csv(
     records: Sequence[tuple[PrecisionRecord, BranchInfo]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["merge_id", "mode", "branch_length", "merge_size", "mean_precision"]
-        )
-        for record, info in records:
-            writer.writerow(
-                [
-                    record.merge,
-                    record.mode.value,
-                    info.branch_length,
-                    info.merge_size,
-                    f"{float(record.mean_precision):.6f}",
-                ]
-            )
+    write_csv(
+        path,
+        ["merge_id", "mode", "branch_length", "merge_size", "mean_precision"],
+        (
+            [record.merge, record.mode.value, info.branch_length,
+             info.merge_size, f"{float(record.mean_precision):.6f}"]
+            for record, info in records
+        ),
+    )
 
 
 def precision_summary(
@@ -214,9 +207,7 @@ def precision_summary(
     for mode, values in sorted(per_mode.items()):
         modes[mode] = {
             "merges": len(values),
-            "mean_precision": frac_json(
-                Fraction(sum(values), len(values)) if values else None
-            ),
+            "mean_precision": frac_json(Fraction(sum(values), len(values))),
         }
     return {
         "horizon": horizon,
@@ -235,12 +226,13 @@ def precision_summary(
             }
             for record, info in records
         ],
-        "diagnostics": {
-            "merges_skipped_no_future": diagnostics.merges_skipped_no_future,
-            "files_skipped_empty_changed": diagnostics.files_skipped_empty_changed,
-            "modes_skipped_empty": diagnostics.modes_skipped_empty,
-        },
+        "diagnostics": asdict(diagnostics),
     }
+
+
+def errors_line(count: int, commit: str, message: str) -> str:
+    """The one-line report of a run's per-commit errors."""
+    return f"errors: {count} (first: {commit}: {message})"
 
 
 def _frac_of(value: dict | None) -> Fraction | None:
@@ -259,8 +251,8 @@ def render_summary_tables(summaries: Sequence[dict]) -> str:
                    f"(fairness {'on' if summary.get('fairness') else 'off'}) ==")
         errors = summary.get("errors")
         if errors:
-            out.append(f"errors: {len(errors)} (first: {errors[0]['commit']}: "
-                       f"{errors[0]['error']})")
+            first = errors[0]
+            out.append(errors_line(len(errors), first["commit"], first["error"]))
         if not summary.get("events"):
             out.append("no eligible events")
             out.append("")
@@ -303,12 +295,11 @@ def render_summary_tables(summaries: Sequence[dict]) -> str:
         out.append("== repo-level winner counts ==")
         metrics = ("success_rate", "map_all", "wins")
         out.append(f"{'metric':<14}{'winner':<40}")
-        counts: dict[str, dict[str, int]] = {m: {} for m in metrics}
+        counts = {m: Counter() for m in metrics}
         for summary in summaries:
             winner = summary.get("repo_winner") or {}
             for m in metrics:
-                name = winner.get(m, "n/a")
-                counts[m][name] = counts[m].get(name, 0) + 1
+                counts[m][winner.get(m, "n/a")] += 1
         for m in metrics:
             pairs = "  ".join(
                 f"{name}:{count}" for name, count in sorted(counts[m].items())

@@ -34,7 +34,7 @@ from cochange import (
 )
 from cochange.branches import median_cap
 from cochange.cli import main
-from cochange.history import _reachable
+from cochange.history import _reachable, additional_changes, merge_commit_size
 
 from conftest import build_graph, hid, mk_commit, random_dags
 from synthgen import generic_graph
@@ -470,6 +470,17 @@ class TestAddedCochange:
     def test_requires_merge(self, merge_graph):
         with pytest.raises(ValueError):
             added_cochange_count(merge_graph, hid("A"))
+
+
+@pytest.mark.parametrize(
+    "merge_only",
+    [additional_changes, branch_commits, merge_commit_size, added_cochange_count],
+    ids=lambda fn: fn.__name__,
+)
+def test_merge_only_functions_share_one_guard(merge_graph, merge_only):
+    name = merge_only.__name__
+    with pytest.raises(ValueError, match=f"^{name} requires a merge commit: {hid('C')}$"):
+        merge_only(merge_graph, hid("C"))
 
 
 class TestSampleHeavyMerges:

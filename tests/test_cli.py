@@ -222,6 +222,20 @@ class TestRecommend:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-commits", "0"), ("--max-rules", "-2"), ("--minconf", "0")],
+    )
+    def test_out_of_range_flag_is_refused_before_loading(
+        self, tmp_path, capsys, flag, value
+    ):
+        code = main(
+            ["recommend", "--snapshot", str(tmp_path / "missing.jsonl"),
+             "--strategy", "full", "--at", hid("T"), "--files", "a", flag, value]
+        )
+        assert code == 1
+        assert f"argument {flag}: must" in capsys.readouterr().err
+
     def test_empty_files_is_usage_error(self, tmp_path):
         snap = snap_of(coupled_graph(), tmp_path)
         code = main(
@@ -439,6 +453,10 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"max_changeset_size": 1}))
         assert self.recommend(snap, "--config", str(cfg)) == 0
         assert capsys.readouterr().out.strip() == "no recommendation"
+
+        # out of range in the file is a data error, not a usage error
+        cfg.write_text(json.dumps({"max_commits": 0}))
+        assert self.recommend(snap, "--config", str(cfg)) == 2
 
     def test_flags_beat_config_file(self, tmp_path, capsys):
         snap = snap_of(coupled_graph(), tmp_path)
@@ -804,6 +822,18 @@ class TestUsageErrorsBeforeWork:
         (["analyze-branches", "--bins", "0"], "--bins must be positive"),
         (["analyze-cochange", "--horizon", "0"], "--horizon must be positive"),
         (["sample-merges", "--n", "0"], "--n must be positive"),
+        (["evaluate", "--pair", "full,fp-merge", "--max-rules", "0"],
+         "argument --max-rules: must be at least 1"),
+        (["evaluate", "--pair", "full,fp-no-merge", "--max-commits", "0"],
+         "argument --max-commits: must be at least 1"),
+        (["analyze-branches", "--max-changeset-size", "0"],
+         "argument --max-changeset-size: must be at least 1"),
+        (["evaluate", "--pair", "full,fp-merge", "--minsup", "0"],
+         "argument --minsup: must be a number in (0, 1]"),
+        (["analyze-branches", "--minconf", "3/2"],
+         "argument --minconf: must be a number in (0, 1]"),
+        (["analyze-branches", "--cap", "-3"],
+         "argument --cap: must be at least 0"),
     ]
 
     @pytest.mark.parametrize("argv, message", CASES)

@@ -110,6 +110,13 @@ class TestValidation:
         g = build_graph(commits, "B", boundaries=["A"])
         assert g.boundaries == {hid("A")}
 
+    def test_graph_rejects_malformed_boundary_id(self):
+        commits = [mk_commit("B", ["A"], 2, ["b"])]
+        with pytest.raises(ValueError, match="not a 40-hex commit id: 'not-an-id'"):
+            CommitGraph.from_commits(
+                commits, hid("B"), boundaries=[hid("A"), "not-an-id"]
+            )
+
     def test_graph_rejects_cycle(self):
         a = Commit(hid("A"), (hid("B"),), 1, frozenset({"a"}))
         b = Commit(hid("B"), (hid("A"),), 2, frozenset({"b"}))

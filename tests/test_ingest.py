@@ -390,6 +390,15 @@ class TestSnapshotValidation:
             load_snapshot(write_lines(tmp_path, lines))
         assert "head" in str(exc.value)
 
+    def test_boundary_ids_are_validated(self, merge_graph, tmp_path):
+        lines = lines_of(merge_graph, tmp_path)
+        header = json.loads(lines[0])
+        header["boundaries"] = ["not-an-id", ""]
+        lines[0] = json.dumps(header)
+        with pytest.raises(SnapshotError, match="not a 40-hex commit id") as exc:
+            load_snapshot(write_lines(tmp_path, lines))
+        assert exc.value.line == 1
+
     def test_unsupported_format_version(self, merge_graph, tmp_path):
         lines = lines_of(merge_graph, tmp_path)
         header = json.loads(lines[0])
