@@ -32,13 +32,7 @@ from .branches import (
     cochange_study,
     winner_rate_table,
 )
-from .evaluation import (
-    ExperimentResult,
-    _eligible_cases,
-    _paired_records,
-    pairwise_verdict,
-    run_experiment,
-)
+from .evaluation import ExperimentResult, _scored_cases, run_experiment
 from .history import Strategy
 from .ingest import (
     IngestError,
@@ -168,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'median' recomputes the cap from the data (default none)")
     p.add_argument("--bins", type=int, default=5,
                    help="equal-frequency bins for the single-cause cohort")
-    p.add_argument("--multi-threshold", type=int, default=6,
+    p.add_argument("--multi-threshold", type=_positive_int, default=6,
                    help="minimum causes for the multi-cause cohort")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_analyze_branches)
@@ -279,6 +273,8 @@ def _resolve_out_dir(args, file_config: dict) -> Path:
         out = os.environ.get(OUTPUT_DIR_ENV)
     if out is None:
         out = file_config.get("output_dir")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"config key 'output_dir' must be a string: {out!r}")
     if out is None:
         raise SystemExit(_error(
             "no output directory: pass --out, set "
@@ -471,7 +467,7 @@ def _cmd_analyze_branches(args) -> int:
         return _error("--bins must be positive")
     file_config = _load_config_file(args.config)
     strategies = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
-    collector, _ = _PROFILES[("full", "fp-merge")]
+    collector, fairness = _PROFILES[("full", "fp-merge")]
     config = _build_recommender_config(args, file_config, collector)
     if config.collector is not collector:
         _refuse_overrides(["collector"], "full,fp-merge")
@@ -482,15 +478,13 @@ def _cmd_analyze_branches(args) -> int:
     # (None for equal collections), verdict.  The collections themselves
     # are dropped as soon as the case is diagnosed.
     rows = []
-    counters = ExperimentResult(*strategies, fairness=False)
-    cases = _eligible_cases(graph, strategies, config, counters)
-    for case, run_a, run_b in cases:
+    result = ExperimentResult(*strategies, fairness)
+    for case, run_a, run_b, verdict in _scored_cases(graph, config, result):
         try:
             diagnosis = diagnose_causes(graph, case, run_a.db, run_b.db)
         except CauseAttributionError:
             diagnosis = _UNATTRIBUTED
-        records = _paired_records(case, strategies, (run_a, run_b), False)
-        rows.append((len(run_b.db), diagnosis, pairwise_verdict(*records)))
+        rows.append((len(run_b.db), diagnosis, verdict))
 
     if args.cap == "median":
         cap = median_cap([size for size, _, _ in rows])
@@ -539,8 +533,8 @@ def _cmd_analyze_branches(args) -> int:
         },
         outputs,
     )
-    if counters.errors:
-        print(errors_line(len(counters.errors), *counters.errors[0]),
+    if result.errors:
+        print(errors_line(len(result.errors), *result.errors[0]),
               file=sys.stderr)
     print(
         f"{len(pairs)} diagnosed cases ({equal_collections} with equal "
@@ -607,11 +601,14 @@ def _cmd_report(args) -> int:
     summaries = []
     for path in args.summary:
         try:
-            summaries.append(json.loads(Path(path).read_text(encoding="utf-8")))
+            summary = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             return _error(f"cannot read summary: {exc}", 2)
         except json.JSONDecodeError as exc:
             return _error(f"{path} is not valid JSON: {exc.msg}", 2)
+        if not isinstance(summary, dict):
+            return _error(f"{path} does not hold a JSON object", 2)
+        summaries.append(summary)
     print(render_summary_tables(summaries))
     return 0
 

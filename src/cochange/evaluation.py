@@ -19,7 +19,6 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 from .history import CommitGraph, Strategy, ancestors_first_parent
 from .recommend import (
     PipelineRun,
-    Query,
     Recommendation,
     RecommenderConfig,
     _collect,
@@ -111,19 +110,19 @@ def _prepare_commit(
     a, b = strategies
     walk_a = _walk_before(graph, commit, a)
     walk_b = _walk_before(graph, commit, b)
-    collected = []
-    for case in cases:
-        query = Query(case.query, case.commit)
-        dbs = (_collect(walk_a, query, config), _collect(walk_b, query, config))
-        collected.append((case, query, dbs))
-    if all(db_a == db_b for _, _, (db_a, db_b) in collected):
+    collected = [
+        (case, _collect(walk_a, case.query, config),
+         _collect(walk_b, case.query, config))
+        for case in cases
+    ]
+    if all(db_a == db_b for _, db_a, db_b in collected):
         return _REASON_IDENTICAL, []
-    if not any(len(db) >= _MIN_TRANSACTIONS for *_, dbs in collected for db in dbs):
+    if not any(len(db) >= _MIN_TRANSACTIONS for _, *dbs in collected for db in dbs):
         return _REASON_TOO_FEW, []
     rows = [
-        (case, _run_pipeline(db_a, query, a, config),
-         _run_pipeline(db_b, query, b, config))
-        for case, query, (db_a, db_b) in collected
+        (case, _run_pipeline(db_a, case.query, a, config),
+         _run_pipeline(db_b, case.query, b, config))
+        for case, db_a, db_b in collected
     ]
     if not any(run.n_raw_rules for _, *runs in rows for run in runs):
         return _REASON_NO_RULES, []
@@ -383,15 +382,19 @@ class ExperimentResult:
         return len(self.verdicts)
 
 
-def _eligible_cases(
-    graph: CommitGraph,
-    strategies: tuple[Strategy, Strategy],
-    config: RecommenderConfig,
-    result: ExperimentResult,
-) -> Iterator[_CaseRow]:
-    """Each case of every eligible commit, in ``run_experiment`` order,
-    with both strategies' pipeline runs.  Commit counters, ineligibility
-    reasons and per-commit errors go into ``result``."""
+def _scored_cases(
+    graph: CommitGraph, config: RecommenderConfig, result: ExperimentResult
+) -> Iterator[tuple[TestCase, PipelineRun, PipelineRun, PairedVerdict]]:
+    """Each case of every eligible commit, newest commit first along the
+    first-parent chain of the graph head, with both strategies' pipeline
+    runs and its verdict.
+
+    Both records and the verdict are appended to ``result``, as are the
+    commit counters, ineligibility reasons and per-commit errors.  With
+    ``result.fairness`` both recommendations are first cut to the
+    shorter length.
+    """
+    strategies = (result.strategy_a, result.strategy_b)
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
         try:
@@ -403,33 +406,20 @@ def _eligible_cases(
             result.ineligible_reasons[reason] += 1
             continue
         result.commits_eligible += 1
-        yield from rows
-
-
-def _paired_records(
-    case: TestCase,
-    strategies: tuple[Strategy, Strategy],
-    runs: tuple[PipelineRun, PipelineRun],
-    fairness: bool,
-) -> list[EvaluationRecord]:
-    """One record per strategy; with ``fairness`` both recommendations
-    are first cut to the shorter length."""
-    recs = tuple(run.recommendation for run in runs)
-    if fairness:
-        recs = _fair_pair(*recs)
-    records = []
-    for strategy, rec, run in zip(strategies, recs, runs):
-        outcome, rank, ap = classify(rec, case)
-        records.append(EvaluationRecord(
-            test_case=case,
-            strategy=strategy,
-            outcome=outcome,
-            oracle_rank=rank,
-            average_precision=ap,
-            n_recommendations=len(rec.entries),
-            n_rules=len(run.rules),
-        ))
-    return records
+        for case, run_a, run_b in rows:
+            recs = (run_a.recommendation, run_b.recommendation)
+            if result.fairness:
+                recs = _fair_pair(*recs)
+            record_a, record_b = (
+                EvaluationRecord(case, strategy, *classify(rec, case),
+                                 len(rec.entries), len(run.rules))
+                for strategy, rec, run in zip(strategies, recs, (run_a, run_b))
+            )
+            verdict = pairwise_verdict(record_a, record_b)
+            result.records_a.append(record_a)
+            result.records_b.append(record_b)
+            result.verdicts.append(verdict)
+            yield case, run_a, run_b, verdict
 
 
 def run_experiment(
@@ -449,10 +439,6 @@ def run_experiment(
     if a is b:
         raise ValueError("run_experiment needs two distinct strategies")
     result = ExperimentResult(a, b, fairness, repo_label=repo_label or graph.label)
-    for case, run_a, run_b in _eligible_cases(graph, strategies, config, result):
-        row_a, row_b = _paired_records(case, strategies, (run_a, run_b), fairness)
-        result.records_a.append(row_a)
-        result.records_b.append(row_b)
-        result.verdicts.append(pairwise_verdict(row_a, row_b))
+    for _ in _scored_cases(graph, config, result):
+        pass
     return result
-

@@ -103,13 +103,13 @@ def _walk_before(
 
 
 def _collect(
-    entries: list[ChangesetEntry], query: Query, config: RecommenderConfig
+    entries: list[ChangesetEntry], files: frozenset[str], config: RecommenderConfig
 ) -> list[Transaction]:
     cap = config.max_changeset_size
     if config.collector is Collector.SEQUENTIAL:
         kept: list[ChangesetEntry] = []
         for e in entries:
-            if len(e.files) <= cap and not e.files.isdisjoint(query.files):
+            if len(e.files) <= cap and not e.files.isdisjoint(files):
                 kept.append(e)
                 if len(kept) >= config.max_commits:
                     break
@@ -117,7 +117,7 @@ def _collect(
         # Per-file slices are capped first; the size filter runs on the
         # unioned result, so an oversized changeset still consumes slots.
         picked: set[int] = set()
-        for f in sorted(query.files):
+        for f in sorted(files):
             taken = 0
             for i, e in enumerate(entries):
                 if f in e.files:
@@ -136,16 +136,17 @@ def collect_commits(
     config: RecommenderConfig,
 ) -> list[Transaction]:
     """Past changesets relevant to ``query``, newest first."""
-    return _collect(_walk_before(graph, query.at_commit, strategy), query, config)
+    walk = _walk_before(graph, query.at_commit, strategy)
+    return _collect(walk, query.files, config)
 
 
 def _run_pipeline(
     db: list[Transaction],
-    query: Query,
+    files: frozenset[str],
     strategy: Strategy,
     config: RecommenderConfig,
 ) -> PipelineRun:
-    """Mine and rank ``db``, the transactions collected for ``query``."""
+    """Mine and rank ``db``, the transactions collected for query ``files``."""
     if db:
         n_raw, rules = top_rules(
             db, config.minsup, config.minconf, config.max_rules
@@ -155,7 +156,7 @@ def _run_pipeline(
     picked: list[RecommendationEntry] = []
     seen: set[str] = set()
     for rule in rules:
-        if rule.antecedent <= query.files:
+        if rule.antecedent <= files:
             (consequent,) = rule.consequent
             if consequent not in seen:
                 seen.add(consequent)
@@ -178,7 +179,7 @@ def recommend(
     in the query are not removed here.
     """
     db = collect_commits(graph, query, strategy, config)
-    return _run_pipeline(db, query, strategy, config).recommendation
+    return _run_pipeline(db, query.files, strategy, config).recommendation
 
 
 def _fair_pair(*recs: Recommendation) -> tuple[Recommendation, ...]:

@@ -660,6 +660,17 @@ class TestAnalyzeBranches:
             )
             assert digests == self.GOLDEN[(seed, n_commits, cap)], cap
 
+    def test_cases_evaluated_equals_evaluate_events(self, tmp_path):
+        snap = snap_of(generic_graph(7, 70), tmp_path)
+        branches, evaluate = tmp_path / "branches", tmp_path / "evaluate"
+        assert main(["analyze-branches", "--snapshot", snap,
+                     "--out", str(branches)]) == 0
+        assert main(["evaluate", "--snapshot", snap, "--pair", "full,fp-merge",
+                     "--out", str(evaluate)]) == 0
+        analysis = json.loads((branches / "branch_analysis.json").read_text())
+        summary = json.loads((evaluate / "summary.json").read_text())
+        assert analysis["cases_evaluated"] == summary["events"] > 0
+
     def test_bad_cap_is_usage_error(self, tmp_path):
         snap = snap_of(branchy_graph(), tmp_path)
         code = main(
@@ -762,6 +773,21 @@ class TestAnalyzeCochange:
         assert main([command, "--snapshot", snap, "--config", str(cfg)]) == 0
         assert (tmp_path / "from-config" / "run_metadata.json").exists()
 
+    @pytest.mark.parametrize("command, value", [
+        ("analyze-cochange", 5), ("sample-merges", ["a"]),
+    ])
+    def test_non_string_output_dir_is_data_error(
+        self, tmp_path, capsys, command, value
+    ):
+        snap = snap_of(study_graph(), tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": value}))
+        assert main([command, "--snapshot", snap, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"cochange: error: config key 'output_dir' must be a string: {value!r}\n"
+        )
+
 
 class TestSampleMerges:
     def test_sampled_rows(self, tmp_path, capsys):
@@ -834,6 +860,8 @@ class TestUsageErrorsBeforeWork:
          "argument --minconf: must be a number in (0, 1]"),
         (["analyze-branches", "--cap", "-3"],
          "argument --cap: must be at least 0"),
+        (["analyze-branches", "--multi-threshold", "-3"],
+         "argument --multi-threshold: must be at least 1"),
     ]
 
     @pytest.mark.parametrize("argv, message", CASES)
@@ -877,3 +905,10 @@ class TestReport:
 
     def test_missing_summary_is_data_error(self, tmp_path):
         assert main(["report", "--summary", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_object_summary_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("[1,2]")
+        assert main(["report", "--summary", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cochange: error: {path} does not hold a JSON object\n"

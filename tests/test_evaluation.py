@@ -26,9 +26,9 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-from cochange.evaluation import ExperimentResult, _eligible_cases
+from cochange.evaluation import ExperimentResult, _scored_cases
 from cochange.history import ancestors_first_parent
-from cochange.recommend import Collector, Query, _collect, _run_pipeline, _walk_before
+from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
@@ -478,9 +478,8 @@ def mine_first(graph, commit, strategies, config):
     walks = [_walk_before(graph, commit, s) for s in strategies]
     rows = []
     for case in cases:
-        query = Query(case.query, case.commit)
         rows.append((case, *(
-            _run_pipeline(_collect(walk, query, config), query, s, config)
+            _run_pipeline(_collect(walk, case.query, config), case.query, s, config)
             for walk, s in zip(walks, strategies)
         )))
     runs = [run for row in rows for run in row[1:]]
@@ -519,7 +518,7 @@ class TestEligibilityBeforeMining:
     def test_same_reasons_counters_and_rows_as_mine_first(self, drawn):
         graph, strategies, config = drawn
         result = ExperimentResult(*strategies, fairness=False)
-        rows = list(_eligible_cases(graph, strategies, config, result))
+        rows = list(_scored_cases(graph, config, result))
         chain = ancestors_first_parent(graph, graph.head)
         expected_rows, reasons = [], Counter()
         for commit in chain:
@@ -529,7 +528,12 @@ class TestEligibilityBeforeMining:
             )
             reasons.update([reason] if reason else [])
             expected_rows += commit_rows
-        assert rows == expected_rows
+        assert [row[:3] for row in rows] == expected_rows
+        # one verdict per row, the same one the result keeps for its records
+        assert [row[3] for row in rows] == result.verdicts
+        assert [row[0] for row in rows] == [
+            r.test_case for r in result.records_a
+        ] == [r.test_case for r in result.records_b]
         assert result.ineligible_reasons == reasons
         assert result.commits_considered == len(chain)
         assert result.commits_eligible == len(chain) - sum(reasons.values())
