@@ -44,7 +44,9 @@ from .ingest import (
 from .mining import _validate_threshold
 from .recommend import Collector, Query, RecommenderConfig, recommend
 from .reporting import (
-    _frac_of,
+    _Fields,
+    _render_blocks,
+    _summary_block,
     errors_line,
     fmt_decimal,
     frac_json,
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_cap_value, default="none",
                    help="keep cases with at most CAP first-parent commits; "
                         "'median' recomputes the cap from the data (default none)")
-    p.add_argument("--bins", type=int, default=5,
+    p.add_argument("--bins", type=_positive_int, default=5,
                    help="equal-frequency bins for the single-cause cohort")
     p.add_argument("--multi-threshold", type=_positive_int, default=6,
                    help="minimum causes for the multi-cause cohort")
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-cochange",
                        help="precision of merge vs branch co-change data")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--horizon", type=int, default=100,
+    p.add_argument("--horizon", type=_positive_int, default=100,
                    help="future commits to score against (default 100)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--min-added", type=int, default=7,
                    help="minimum added co-change pairs (default 7)")
-    p.add_argument("--n", type=int, default=40, help="sample size (default 40)")
+    p.add_argument("--n", type=_positive_int, default=40, help="sample size (default 40)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
@@ -214,8 +216,6 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SnapshotError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"config file is not valid JSON: {exc.msg}")
     if not isinstance(raw, dict):
@@ -463,8 +463,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_branches(args) -> int:
-    if args.bins < 1:
-        return _error("--bins must be positive")
     file_config = _load_config_file(args.config)
     strategies = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
     collector, fairness = _PROFILES[("full", "fp-merge")]
@@ -544,8 +542,6 @@ def _cmd_analyze_branches(args) -> int:
 
 
 def _cmd_analyze_cochange(args) -> int:
-    if args.horizon < 1:
-        return _error("--horizon must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
@@ -562,14 +558,12 @@ def _cmd_analyze_cochange(args) -> int:
     )
     for mode in (CochangeMode.FROM_MERGE.value, CochangeMode.FROM_BRANCH.value):
         stats = summary["modes"].get(mode, {"merges": 0, "mean_precision": None})
-        mean = fmt_decimal(_frac_of(stats["mean_precision"]))
+        mean = fmt_decimal(_Fields(stats).fraction("mean_precision"))
         print(f"{mode}: {stats['merges']} merges, mean precision {mean}")
     return 0
 
 
 def _cmd_sample_merges(args) -> int:
-    if args.n < 1:
-        return _error("--n must be positive")
     graph = load_snapshot(args.snapshot)
     file_config = _load_config_file(args.config)
     out_dir = _resolve_out_dir(args, file_config)
@@ -598,18 +592,19 @@ def _cmd_sample_merges(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summaries = []
+    """Check every summary, then print their tables, as ``evaluate`` does."""
+    blocks = []
     for path in args.summary:
         try:
             summary = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            return _error(f"cannot read summary: {exc}", 2)
+            if not isinstance(summary, dict):
+                return _error(f"{path} does not hold a JSON object", 2)
+            blocks.append(_summary_block(summary))
         except json.JSONDecodeError as exc:
             return _error(f"{path} is not valid JSON: {exc.msg}", 2)
-        if not isinstance(summary, dict):
-            return _error(f"{path} does not hold a JSON object", 2)
-        summaries.append(summary)
-    print(render_summary_tables(summaries))
+        except ValueError as exc:  # a malformed field, or text that is not UTF-8
+            return _error(f"{path}: {exc}", 2)
+    print(_render_blocks(blocks))
     return 0
 
 
@@ -623,6 +618,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # an unreadable input or unusable output path
+        return _error(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc), 2)
     except (SnapshotError, IngestError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         return _error(str(message), 2)

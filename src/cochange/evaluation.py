@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence, get_args
 
 from .history import CommitGraph, Strategy, ancestors_first_parent
 from .recommend import (
@@ -323,6 +323,7 @@ def wilcoxon_signed_rank(
 
 
 Metric = Literal["success_rate", "map_all", "wins"]
+METRICS: tuple[Metric, ...] = get_args(Metric)  # the order summaries list them in
 
 ALPHA = 0.05
 

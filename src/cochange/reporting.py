@@ -22,13 +22,15 @@ from .branches import (
     WinnerRateBin,
 )
 from .evaluation import (
+    ALPHA,
+    METRICS,
     EvaluationRecord,
     ExperimentResult,
     PairedVerdict,
+    _compare,
     aggregate_rates,
     map_all,
     map_app,
-    repo_level_winner,
     wilcoxon_signed_rank,
 )
 
@@ -90,35 +92,31 @@ def write_records_csv(result: ExperimentResult, path: str | Path) -> None:
     )
 
 
-def _strategy_summary(
-    records: Sequence[EvaluationRecord], wins: int
-) -> dict:
-    """Per-strategy rates; every rate is None when there are no records."""
-    rates, m_all, m_app = (None,) * 5, None, None
+_RATES = ("success_rate", "failure_rate", "no_prediction_rate",
+          "mean_recommendations", "mean_rules")  # in aggregate_rates' order
+
+
+def _strategy_figures(records: Sequence[EvaluationRecord], wins: int) -> dict:
+    """Per-strategy counts and exact rates; every rate is None when there
+    are no records, and ``map_app`` also when none has recommendations."""
+    figures = dict.fromkeys(_RATES + ("map_all", "map_app"))
+    figures.update(events=len(records), wins=wins)
     if records:
-        rates, m_all = aggregate_rates(records), map_all(records)
+        figures.update(zip(_RATES, aggregate_rates(records)), map_all=map_all(records))
         try:
-            m_app = map_app(records)
+            figures["map_app"] = map_app(records)
         except ValueError:
             pass
-    success, failure, no_pred, mean_recs, mean_rules = rates
-    return {
-        "events": len(records),
-        "wins": wins,
-        "mean_recommendations": frac_json(mean_recs),
-        "mean_rules": frac_json(mean_rules),
-        "success_rate": frac_json(success),
-        "failure_rate": frac_json(failure),
-        "no_prediction_rate": frac_json(no_pred),
-        "map_all": frac_json(m_all),
-        "map_app": frac_json(m_app),
-    }
+    return figures
 
 
 def summarize_experiment(result: ExperimentResult) -> dict:
-    """JSON-ready summary of one paired evaluation run."""
+    """JSON-ready summary of one paired evaluation run: each figure is computed
+    once, and the winners are read off them by ``repo_level_winner``'s rules."""
     a, b = result.strategy_a, result.strategy_b
     tally = Counter(result.verdicts)
+    fig_a = _strategy_figures(result.records_a, tally[PairedVerdict.WIN_A])
+    fig_b = _strategy_figures(result.records_b, tally[PairedVerdict.WIN_B])
     summary = {
         "repo_label": result.repo_label,
         "strategy_pair": [a.value, b.value],
@@ -128,41 +126,27 @@ def summarize_experiment(result: ExperimentResult) -> dict:
         "commits_eligible": result.commits_eligible,
         "ineligible_reasons": dict(sorted(result.ineligible_reasons.items())),
         "per_strategy": {
-            a.value: _strategy_summary(result.records_a, tally[PairedVerdict.WIN_A]),
-            b.value: _strategy_summary(result.records_b, tally[PairedVerdict.WIN_B]),
+            s.value: {k: frac_json(v) if isinstance(v, Fraction) else v
+                      for k, v in figures.items()}
+            for s, figures in ((a, fig_a), (b, fig_b))
         },
         "draws": tally[PairedVerdict.DRAW],
-        "errors": [
-            {"commit": cid, "error": msg} for cid, msg in result.errors
-        ],
+        "errors": [{"commit": c, "error": m} for c, m in result.errors],
+        "wilcoxon_map": None,
+        "repo_winner": None,
     }
     if result.events:
-        pairs = [
+        stat = wilcoxon_signed_rank([
             (ra.average_precision, rb.average_precision)
             for ra, rb in zip(result.records_a, result.records_b)
-        ]
-        stat = wilcoxon_signed_rank(pairs)
-        summary["wilcoxon_map"] = {
-            "statistic": stat.statistic,
-            "p_value": stat.p_value,
-        }
-        summary["repo_winner"] = {
-            metric: _winner_name(result, metric)
-            for metric in ("success_rate", "map_all", "wins")
-        }
-    else:
-        summary["wilcoxon_map"] = None
-        summary["repo_winner"] = None
+        ])
+        summary["wilcoxon_map"] = stat._asdict()
+        verdicts = {m: _compare(fig_a[m], fig_b[m]) for m in METRICS}
+        if stat.p_value is None or stat.p_value >= ALPHA:
+            verdicts["map_all"] = PairedVerdict.DRAW  # not significant
+        names = {PairedVerdict.WIN_A: a.value, PairedVerdict.WIN_B: b.value}
+        summary["repo_winner"] = {m: names.get(v, "draw") for m, v in verdicts.items()}
     return summary
-
-
-def _winner_name(result: ExperimentResult, metric) -> str:
-    verdict = repo_level_winner(result.records_a, result.records_b, metric)
-    if verdict is PairedVerdict.WIN_A:
-        return result.strategy_a.value
-    if verdict is PairedVerdict.WIN_B:
-        return result.strategy_b.value
-    return "draw"
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -235,75 +219,108 @@ def errors_line(count: int, commit: str, message: str) -> str:
     return f"errors: {count} (first: {commit}: {message})"
 
 
-def _frac_of(value: dict | None) -> Fraction | None:
-    if value is None:
-        return None
-    return Fraction(value["num"], value["den"])
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+               int: "an integer", float: "a float", type(None): "null"}
+
+
+class _Fields:
+    """Checked reads from one JSON object or list of a summary: a missing
+    key, or a value of none of the JSON types asked for, raises ValueError
+    naming the dotted key, e.g. ``per_strategy.full.map_all``."""
+
+    def __init__(self, container, path: str = ""):
+        self.container, self.path = container, path
+
+    def __call__(self, key, *types: type):
+        path = f"{self.path}{key}"
+        try:
+            value = self.container[key]
+        except (KeyError, IndexError):
+            raise ValueError(f"{path}: missing") from None
+        if type(value) not in types:  # exact, so JSON true is no integer
+            raise ValueError(f"{path}: must be {' or '.join(map(_JSON_TYPES.get, types))}")
+        if type(value) is str and any("\ud800" <= c <= "\udfff" for c in value):
+            raise ValueError(f"{path}: holds a lone surrogate, not text")
+        return value
+
+    def nested(self, key, kind: type = dict) -> "_Fields":
+        return _Fields(self(key, kind), f"{self.path}{key}.")
+
+    def fraction(self, key) -> float | None:
+        """A ``frac_json`` rational, or null, as a float."""
+        if self(key, dict, type(None)) is None:
+            return None
+        frac = self.nested(key)
+        try:
+            return frac("num", int) / frac("den", int)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"{self.path}{key}: not a finite rational") from None
+
+
+# (per-strategy key, column heading, width) of each rate in the table.
+_RATE_COLUMNS = (("mean_recommendations", "recs", 8), ("mean_rules", "rules", 8),
+                 ("success_rate", "success", 9), ("failure_rate", "failure", 9),
+                 ("no_prediction_rate", "no-pred", 9), ("map_all", "map_all", 9),
+                 ("map_app", "map_app", 9))
+
+
+def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
+    """One summary's table lines and its repo winners (None without
+    events), every field read through ``_Fields``."""
+    s = _Fields(summary)
+    pair = s.nested("strategy_pair", list)
+    if len(pair.container) != 2:
+        raise ValueError("strategy_pair: must name two strategies")
+    names = [pair(0, str), pair(1, str)]
+    out = [f"== {s('repo_label', str) or '(unlabelled)'}: {names[0]} vs "
+           f"{names[1]} (fairness {'on' if s('fairness', bool) else 'off'}) =="]
+    errors = s.nested("errors", list)
+    if errors.container:
+        first = errors.nested(0)
+        out.append(errors_line(len(errors.container), first("commit", str),
+                               first("error", str)))
+    events = s("events", int)
+    if not events:
+        return out + ["no eligible events", ""], None
+    out += [f"events: {events}  commits: {s('commits_eligible', int)} eligible "
+            f"of {s('commits_considered', int)}",
+            f"{'strategy':<14}{'events':>8}"
+            + "".join(f"{head:>{w}}" for _, head, w in _RATE_COLUMNS) + f"{'wins':>6}"]
+    per_strategy = s.nested("per_strategy")
+    for name in names:
+        if name not in per_strategy.container:
+            raise ValueError(f"strategy_pair: {name!r} is not in per_strategy")
+        f = per_strategy.nested(name)
+        out.append(f"{name:<14}{f('events', int):>8}"
+                   + "".join(f"{fmt_decimal(f.fraction(key)):>{w}}"
+                             for key, _, w in _RATE_COLUMNS)
+                   + f"{f('wins', int):>6}")
+    out.append(f"draws: {s('draws', int)}")
+    wilcoxon = s.nested("wilcoxon_map")
+    p_value = wilcoxon("p_value", float, type(None))
+    if p_value is not None:
+        out.append(f"signed-rank on AP: statistic="
+                   f"{wilcoxon('statistic', float):.1f} p={p_value:.5f}")
+    winner = s.nested("repo_winner")
+    winners = {metric: winner(metric, str) for metric in METRICS}
+    out.append("repo winner: " + "  ".join(f"{m}={n}" for m, n in winners.items()))
+    return out + [""], winners
+
+
+def _render_blocks(blocks: Sequence[tuple[list[str], dict | None]]) -> str:
+    """The summaries' blocks, then, for several, the winner counts."""
+    out = [line for lines, _ in blocks for line in lines]
+    if len(blocks) > 1:
+        out += ["== repo-level winner counts ==", f"{'metric':<14}{'winner':<40}"]
+        for m in METRICS:
+            counts = Counter(w[m] if w else "n/a" for _, w in blocks)
+            out.append(f"{m:<14}" + "  ".join(
+                f"{name}:{count}" for name, count in sorted(counts.items())))
+        out.append("")
+    return "\n".join(out)
 
 
 def render_summary_tables(summaries: Sequence[dict]) -> str:
-    """Human-readable tables for one or more evaluation summaries."""
-    out: list[str] = []
-    for summary in summaries:
-        label = summary.get("repo_label") or "(unlabelled)"
-        pair = summary.get("strategy_pair", ["?", "?"])
-        out.append(f"== {label}: {pair[0]} vs {pair[1]} "
-                   f"(fairness {'on' if summary.get('fairness') else 'off'}) ==")
-        errors = summary.get("errors")
-        if errors:
-            first = errors[0]
-            out.append(errors_line(len(errors), first["commit"], first["error"]))
-        if not summary.get("events"):
-            out.append("no eligible events")
-            out.append("")
-            continue
-        out.append(f"events: {summary['events']}  "
-                   f"commits: {summary['commits_eligible']} eligible "
-                   f"of {summary['commits_considered']}")
-        header = (
-            f"{'strategy':<14}{'events':>8}{'recs':>8}{'rules':>8}"
-            f"{'success':>9}{'failure':>9}{'no-pred':>9}"
-            f"{'map_all':>9}{'map_app':>9}{'wins':>6}"
-        )
-        out.append(header)
-        for name in pair:
-            s = summary["per_strategy"][name]
-            out.append(
-                f"{name:<14}{s['events']:>8}"
-                f"{fmt_decimal(_frac_of(s['mean_recommendations'])):>8}"
-                f"{fmt_decimal(_frac_of(s['mean_rules'])):>8}"
-                f"{fmt_decimal(_frac_of(s['success_rate'])):>9}"
-                f"{fmt_decimal(_frac_of(s['failure_rate'])):>9}"
-                f"{fmt_decimal(_frac_of(s['no_prediction_rate'])):>9}"
-                f"{fmt_decimal(_frac_of(s['map_all'])):>9}"
-                f"{fmt_decimal(_frac_of(s['map_app'])):>9}"
-                f"{s['wins']:>6}"
-            )
-        out.append(f"draws: {summary['draws']}")
-        wilcoxon = summary.get("wilcoxon_map")
-        if wilcoxon and wilcoxon.get("p_value") is not None:
-            out.append(
-                f"signed-rank on AP: statistic={wilcoxon['statistic']:.1f} "
-                f"p={wilcoxon['p_value']:.5f}"
-            )
-        winner = summary.get("repo_winner") or {}
-        if winner:
-            parts = [f"{metric}={name}" for metric, name in winner.items()]
-            out.append("repo winner: " + "  ".join(parts))
-        out.append("")
-    if len(summaries) > 1:
-        out.append("== repo-level winner counts ==")
-        metrics = ("success_rate", "map_all", "wins")
-        out.append(f"{'metric':<14}{'winner':<40}")
-        counts = {m: Counter() for m in metrics}
-        for summary in summaries:
-            winner = summary.get("repo_winner") or {}
-            for m in metrics:
-                counts[m][winner.get(m, "n/a")] += 1
-        for m in metrics:
-            pairs = "  ".join(
-                f"{name}:{count}" for name, count in sorted(counts[m].items())
-            )
-            out.append(f"{m:<14}{pairs}")
-        out.append("")
-    return "\n".join(out)
+    """Human-readable tables for one or more evaluation summaries; a
+    field that is missing or of the wrong JSON type raises ValueError."""
+    return _render_blocks([_summary_block(s) for s in summaries])

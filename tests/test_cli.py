@@ -1,13 +1,19 @@
+import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import save_snapshot
 from cochange.cli import OUTPUT_DIR_ENV, main
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
+from test_ingest import JSON_VALUES
 
 
 def clean_merge(tag, parents, ts, files):
@@ -130,7 +136,7 @@ class TestIngestAndValidate:
 
     def test_non_utf8_path_is_data_error_naming_the_line(self, tmp_path, capsys):
         snap = snap_of(coupled_graph(), tmp_path)
-        lines = open(snap, encoding="utf-8").read().splitlines()
+        lines = Path(snap).read_text(encoding="utf-8").splitlines()
         rec = json.loads(lines[1])
         rec["files"].append("bad\udcff.txt")
         lines[1] = json.dumps(rec)
@@ -845,9 +851,10 @@ class TestSampleMerges:
 
 class TestUsageErrorsBeforeWork:
     CASES = [
-        (["analyze-branches", "--bins", "0"], "--bins must be positive"),
-        (["analyze-cochange", "--horizon", "0"], "--horizon must be positive"),
-        (["sample-merges", "--n", "0"], "--n must be positive"),
+        (["analyze-branches", "--bins", "0"], "argument --bins: must be at least 1"),
+        (["analyze-cochange", "--horizon", "0"],
+         "argument --horizon: must be at least 1"),
+        (["sample-merges", "--n", "0"], "argument --n: must be at least 1"),
         (["evaluate", "--pair", "full,fp-merge", "--max-rules", "0"],
          "argument --max-rules: must be at least 1"),
         (["evaluate", "--pair", "full,fp-no-merge", "--max-commits", "0"],
@@ -912,3 +919,106 @@ class TestReport:
         assert main(["report", "--summary", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"cochange: error: {path} does not hold a JSON object\n"
+
+    @pytest.mark.parametrize("pair", ["full,fp-no-merge", "full,fp-merge"])
+    def test_prints_what_evaluate_printed(
+        self, tmp_path, capsys, golden_snapshot, pair
+    ):
+        _, snap = golden_snapshot
+        out = tmp_path / "out"
+        assert main(["evaluate", "--snapshot", snap, "--pair", pair,
+                     "--out", str(out)]) == 0
+        evaluated = capsys.readouterr().out
+        assert main(["report", "--summary", str(out / "summary.json")]) == 0
+        assert capsys.readouterr().out == evaluated
+
+    @pytest.mark.parametrize("summary, message", [
+        ({"strategy_pair": 5}, "strategy_pair: must be a list"),
+        ({"events": 3}, "strategy_pair: missing"),
+        ({}, "strategy_pair: missing"),
+        ({"strategy_pair": ["full", "fp-merge"], "repo_label": "\udcff"},
+         "repo_label: holds a lone surrogate, not text"),
+    ])
+    def test_malformed_summary_is_data_error_naming_file_and_key(
+        self, real_summary, tmp_path, capsys, summary, message
+    ):
+        good, _ = real_summary
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cochange: error: {bad}: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def real_summary(tmp_path_factory):
+    """Path and contents of evaluate's summary.json on generic_graph(7, 70)."""
+    directory = tmp_path_factory.mktemp("report")
+    snap = snap_of(generic_graph(7, 70), directory)
+    assert main(["evaluate", "--snapshot", snap, "--pair", "full,fp-merge",
+                 "--out", str(directory)]) == 0
+    path = directory / "summary.json"
+    return path, json.loads(path.read_text())
+
+
+def key_paths(value, prefix=()):
+    """The key path of every member of nested JSON objects and lists."""
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        return
+    for key, member in members:
+        yield prefix + (key,)
+        yield from key_paths(member, prefix + (key,))
+
+
+class TestSummaryMutations:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_single_mutation_renders_or_names_file_and_key(
+        self, real_summary, data
+    ):
+        path, summary = real_summary
+        assert summary["events"] > 0
+        summary = copy.deepcopy(summary)
+        keys = data.draw(st.sampled_from(sorted(key_paths(summary), key=repr)))
+        parent = summary
+        for key in keys[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = data.draw(JSON_VALUES)
+        mutated = path.with_name("mutated.json")
+        mutated.write_text(json.dumps(summary))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["report", "--summary", str(mutated)])
+        assert code in (0, 2)
+        if code == 2:
+            prefix = f"cochange: error: {mutated}: "
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(prefix)
+            assert keys[0] in err.getvalue()[len(prefix):]
+
+
+class TestUnusableOutputPath:
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-cochange", "ingest"])
+    def test_is_data_error_naming_the_path(
+        self, tmp_path, capsys, git_sandbox, command
+    ):
+        if command == "ingest":
+            git_sandbox.commit("one", {"a.txt": "1"})
+            argv = ["ingest", "--repo", str(git_sandbox.path)]
+            target = tmp_path / "missing" / "x.jsonl"
+        else:
+            argv = [command, "--snapshot", snap_of(study_graph(), tmp_path)]
+            if command == "evaluate":
+                argv += ["--pair", "full,fp-merge"]
+            target = tmp_path / "taken"
+            target.write_text("")
+        assert main([*argv, "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"cochange: error: {target}: ")

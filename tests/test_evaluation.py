@@ -26,9 +26,10 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-from cochange.evaluation import ExperimentResult, _scored_cases
+from cochange.evaluation import METRICS, ExperimentResult, _scored_cases
 from cochange.history import ancestors_first_parent
 from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
+from cochange.reporting import summarize_experiment
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
@@ -407,6 +408,51 @@ class TestRepoLevelWinner:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             repo_level_winner([], [], "wins")
+
+
+@st.composite
+def paired_record_lists(draw):
+    """1..30 paired records (so the signed-rank test runs both exact and
+    approximate), sometimes skewed so that map_all is significant."""
+    skew = draw(st.booleans())
+    records_a, records_b = [], []
+    for i in range(draw(st.integers(1, 30))):
+        case = EvalCase(hid(f"case{i}"), frozenset({"q"}), "o")
+        for strategy, bucket, top in (
+            (Strategy.FULL, records_a, 4),
+            (Strategy.FIRST_PARENT_MERGE, records_b, 0 if skew else 4),
+        ):
+            rank = draw(st.integers(0, top))  # 0: the oracle was missed
+            outcome = Outcome.SUCCESS if rank else draw(
+                st.sampled_from([Outcome.FAILURE, Outcome.NO_PREDICTION]))
+            bucket.append(record(
+                Fraction(1, rank) if rank else 0, outcome, case=case,
+                strategy=strategy, n_recs=draw(st.integers(0, 3)),
+                n_rules=draw(st.integers(0, 3)),
+            ))
+    return records_a, records_b
+
+
+class TestSummaryAgainstRepoLevelWinner:
+    @settings(max_examples=150)
+    @given(paired_record_lists())
+    def test_winners_and_test_match_the_reference(self, records):
+        records_a, records_b = records
+        result = ExperimentResult(
+            Strategy.FULL, Strategy.FIRST_PARENT_MERGE, fairness=False,
+            records_a=records_a, records_b=records_b,
+            verdicts=[pairwise_verdict(a, b) for a, b in zip(*records)],
+        )
+        summary = summarize_experiment(result)
+        names = {PairedVerdict.WIN_A: "full", PairedVerdict.WIN_B: "fp-merge",
+                 PairedVerdict.DRAW: "draw"}
+        assert list(summary["repo_winner"]) == list(METRICS)
+        for metric in METRICS:
+            expected = repo_level_winner(records_a, records_b, metric)
+            assert summary["repo_winner"][metric] == names[expected], metric
+        pairs = [(a.average_precision, b.average_precision)
+                 for a, b in zip(*records)]
+        assert summary["wilcoxon_map"] == wilcoxon_signed_rank(pairs)._asdict()
 
 
 class TestRunExperiment:
