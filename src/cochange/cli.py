@@ -15,6 +15,7 @@ import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,17 +63,14 @@ from .reporting import (
 
 OUTPUT_DIR_ENV = "COCHANGE_OUTPUT_DIR"
 
-_STRATEGIES = {s.value: s for s in Strategy}
-_COLLECTORS = {c.value: c for c in Collector}
-
 # Marks a case whose differing collections no merge explains.
 _UNATTRIBUTED = object()
 
 # Experiment profiles bind the collector and the fairness adjustment to
-# the strategy pair; overriding either needs --unsafe-override.
+# the strategy pair; overriding either needs evaluate's --unsafe-override.
 _PROFILES = {
-    ("full", "fp-no-merge"): (Collector.SEQUENTIAL, True),
-    ("full", "fp-merge"): (Collector.PER_FILE_SLICE, False),
+    "full,fp-no-merge": (Collector.SEQUENTIAL, True),
+    "full,fp-merge": (Collector.PER_FILE_SLICE, False),
 }
 
 
@@ -133,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="recommend files for a query")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--strategy", required=True, choices=sorted(_STRATEGIES))
+    p.add_argument("--strategy", required=True,
+                   choices=sorted(s.value for s in Strategy))
     p.add_argument("--at", required=True, metavar="COMMIT",
                    help="history cut point (full id or unique prefix)")
     p.add_argument("--files", required=True,
@@ -144,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="paired strategy evaluation")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--pair", required=True,
-                   choices=["full,fp-no-merge", "full,fp-merge"],
+    p.add_argument("--pair", required=True, choices=list(_PROFILES),
                    help="strategy pair; selects the experiment profile")
     p.add_argument("--fairness", choices=["on", "off"], default=None,
                    help="override the profile's fairness adjustment")
@@ -167,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi-threshold", type=_positive_int, default=6,
                    help="minimum causes for the multi-cause cohort")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_analyze_branches)
+    # The fixed profile, with no --fairness and no --unsafe-override.
+    p.set_defaults(func=_cmd_analyze_branches, pair="full,fp-merge")
 
     p = sub.add_parser("analyze-cochange",
                        help="precision of merge vs branch co-change data")
@@ -199,30 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="JSON config file; explicit flags take precedence")
-    p.add_argument("--minsup", type=_threshold, default=None)
-    p.add_argument("--minconf", type=_threshold, default=None)
-    p.add_argument("--max-commits", type=_positive_int, default=None)
-    p.add_argument("--max-changeset-size", type=_positive_int, default=None)
-    p.add_argument("--max-rules", type=_positive_int, default=None)
-    p.add_argument("--collector", choices=sorted(_COLLECTORS), default=None,
-                   help="override the default or profile collector")
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"config file is not valid JSON: {exc.msg}")
-    if not isinstance(raw, dict):
-        raise SnapshotError("config file must hold a JSON object")
-    return raw
-
-
 def _config_fraction(value) -> Fraction:
     # JSON numbers arrive as float/int; go through the decimal string so
     # 0.1 means exactly 1/10.
@@ -235,31 +210,59 @@ def _config_int(value) -> int:
     return value
 
 
-# RecommenderConfig field -> converter.  Each field comes from the flag
-# of the same name, else the config file key of the same name, else the
-# default.
+# RecommenderConfig field -> (its flag's argparse keywords, the converter
+# of a flag or config-file value), in flag order.  Each field comes from
+# the flag of the same name, else the config file key of the same name,
+# else the default.
 _CONFIG_FIELDS = {
-    "minsup": _config_fraction,
-    "minconf": _config_fraction,
-    "max_changeset_size": _config_int,
-    "max_commits": _config_int,
-    "max_rules": _config_int,
-    "collector": _COLLECTORS.__getitem__,
+    "minsup": ({"type": _threshold}, _config_fraction),
+    "minconf": ({"type": _threshold}, _config_fraction),
+    "max_commits": ({"type": _positive_int}, _config_int),
+    "max_changeset_size": ({"type": _positive_int}, _config_int),
+    "max_rules": ({"type": _positive_int}, _config_int),
+    "collector": ({"choices": sorted(c.value for c in Collector),
+                   "help": "override the default or profile collector"}, Collector),
 }
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None,
+                   help="JSON config file; explicit flags take precedence")
+    for key, (keywords, _) in _CONFIG_FIELDS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", default=None, **keywords)
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object held by the file at ``path``; text that is not
+    UTF-8 or not JSON, or another JSON value, raises ValueError naming
+    the file."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge int, deep nesting
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return value
+
+
+def _file_config(args) -> dict:
+    return {} if args.config is None else _read_json_object(args.config)
 
 
 def _build_recommender_config(
     args, file_config: dict, default_collector: Collector
 ) -> RecommenderConfig:
     values = {"collector": default_collector}
-    for key, convert in _CONFIG_FIELDS.items():
+    for key, (_, convert) in _CONFIG_FIELDS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = convert(flag)
         elif key in file_config:
             try:
                 values[key] = convert(file_config[key])
-            except (ValueError, TypeError, KeyError, ZeroDivisionError):
+            except (ValueError, TypeError, ZeroDivisionError):
                 raise ValueError(
                     f"config key {key!r} has a malformed value: "
                     f"{file_config[key]!r}"
@@ -299,20 +302,14 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_metadata(
-    out_dir: Path,
-    command: str,
-    snapshot: str | None,
-    settings: dict,
-    outputs: list[str],
-) -> None:
+def _write_metadata(out_dir: Path, args, settings: dict, outputs: list[str]) -> None:
     payload = {
         "tool": "cochange",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "settings": settings,
-        "snapshot_path": snapshot,
-        "snapshot_sha256": _sha256(snapshot) if snapshot else None,
+        "snapshot_path": args.snapshot,
+        "snapshot_sha256": _sha256(args.snapshot),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs),
     }
@@ -320,14 +317,15 @@ def _write_metadata(
 
 
 def _config_echo(config: RecommenderConfig) -> dict:
-    return {
-        "minsup": frac_json(config.minsup),
-        "minconf": frac_json(config.minconf),
-        "max_changeset_size": config.max_changeset_size,
-        "max_commits": config.max_commits,
-        "max_rules": config.max_rules,
-        "collector": config.collector.value,
-    }
+    """The resolved settings as JSON: rationals as ``frac_json``, enums
+    by value."""
+    echo = {}
+    for key in _CONFIG_FIELDS:
+        value = getattr(config, key)
+        if isinstance(value, Fraction):
+            value = frac_json(value)
+        echo[key] = value.value if isinstance(value, Enum) else value
+    return echo
 
 
 def _resolve_commit(graph, text: str) -> str:
@@ -363,14 +361,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_recommend(args) -> int:
     graph = load_snapshot(args.snapshot)
-    file_config = _load_config_file(args.config)
+    file_config = _file_config(args)
     config = _build_recommender_config(args, file_config, Collector.SEQUENTIAL)
     at = _resolve_commit(graph, args.at)
     files = frozenset(f for f in args.files.split(",") if f)
     if not files:
         return _error("--files must name at least one file")
     query = Query(files, at)
-    rec = recommend(graph, query, _STRATEGIES[args.strategy], config)
+    rec = recommend(graph, query, Strategy(args.strategy), config)
     if args.json:
         payload = {
             "strategy": rec.strategy.value,
@@ -412,63 +410,46 @@ def _pair_settings(
     """Strategy pair, resolved recommender config and fairness.
 
     A collector (from a flag or the config file) or fairness that
-    contradicts the pair's profile needs --unsafe-override.
+    contradicts the pair's profile exits 1, unless --unsafe-override is
+    given where the command has it.
     """
-    names = tuple(args.pair.split(","))
-    default_collector, default_fairness = _PROFILES[names]
+    default_collector, default_fairness = _PROFILES[args.pair]
     config = _build_recommender_config(args, file_config, default_collector)
-    fairness = (
-        default_fairness if args.fairness is None else args.fairness == "on"
-    )
+    fairness = getattr(args, "fairness", None)
+    fairness = default_fairness if fairness is None else fairness == "on"
     overrides = []
     if config.collector is not default_collector:
         overrides.append("collector")
     if fairness != default_fairness:
         overrides.append("fairness")
-    if not args.unsafe_override:
-        _refuse_overrides(
-            overrides, args.pair, "; pass --unsafe-override to proceed"
-        )
-    return (_STRATEGIES[names[0]], _STRATEGIES[names[1]]), config, fairness
-
-
-def _refuse_overrides(overrides: list[str], pair: str, hint: str = "") -> None:
-    if overrides:
+    if overrides and not getattr(args, "unsafe_override", False):
+        hint = ("; pass --unsafe-override to proceed"
+                if "unsafe_override" in args else "")
         raise SystemExit(_error(
-            f"{' and '.join(overrides)} contradict the {pair} profile{hint}"))
+            f"{' and '.join(overrides)} contradict the {args.pair} profile{hint}"))
+    a, b = args.pair.split(",")
+    return (Strategy(a), Strategy(b)), config, fairness
 
 
 def _cmd_evaluate(args) -> int:
-    graph = load_snapshot(args.snapshot)
-    file_config = _load_config_file(args.config)
+    file_config = _file_config(args)
     strategies, config, fairness = _pair_settings(args, file_config)
+    graph = load_snapshot(args.snapshot)
     out_dir = _resolve_out_dir(args, file_config)
     result = run_experiment(graph, strategies, config, fairness, graph.label)
     write_records_csv(result, out_dir / "records.csv")
     summary = summarize_experiment(result)
     write_json(summary, out_dir / "summary.json")
-    _write_metadata(
-        out_dir,
-        "evaluate",
-        args.snapshot,
-        {
-            "pair": list(args.pair.split(",")),
-            "fairness": fairness,
-            "recommender": _config_echo(config),
-        },
-        ["records.csv", "summary.json"],
-    )
+    _write_metadata(out_dir, args, {"pair": args.pair.split(","), "fairness": fairness,
+                                    "recommender": _config_echo(config)},
+                    ["records.csv", "summary.json"])
     print(render_summary_tables([summary]))
     return 0
 
 
 def _cmd_analyze_branches(args) -> int:
-    file_config = _load_config_file(args.config)
-    strategies = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
-    collector, fairness = _PROFILES[("full", "fp-merge")]
-    config = _build_recommender_config(args, file_config, collector)
-    if config.collector is not collector:
-        _refuse_overrides(["collector"], "full,fp-merge")
+    file_config = _file_config(args)
+    strategies, config, fairness = _pair_settings(args, file_config)
     graph = load_snapshot(args.snapshot)
     out_dir = _resolve_out_dir(args, file_config)
     # One constant-size row per case, in case order (winner_rate_table
@@ -521,8 +502,7 @@ def _cmd_analyze_branches(args) -> int:
     outputs.append("branch_analysis.json")
     _write_metadata(
         out_dir,
-        "analyze-branches",
-        args.snapshot,
+        args,
         {
             "cap": cap,
             "bins": args.bins,
@@ -543,19 +523,14 @@ def _cmd_analyze_branches(args) -> int:
 
 def _cmd_analyze_cochange(args) -> int:
     graph = load_snapshot(args.snapshot)
-    file_config = _load_config_file(args.config)
+    file_config = _file_config(args)
     out_dir = _resolve_out_dir(args, file_config)
     records, diagnostics = cochange_study(graph, args.horizon)
     summary = precision_summary(records, diagnostics, args.horizon)
     write_precision_csv(records, out_dir / "precision.csv")
     write_json(summary, out_dir / "cochange.json")
-    _write_metadata(
-        out_dir,
-        "analyze-cochange",
-        args.snapshot,
-        {"horizon": args.horizon},
-        ["precision.csv", "cochange.json"],
-    )
+    _write_metadata(out_dir, args, {"horizon": args.horizon},
+                    ["precision.csv", "cochange.json"])
     for mode in (CochangeMode.FROM_MERGE.value, CochangeMode.FROM_BRANCH.value):
         stats = summary["modes"].get(mode, {"merges": 0, "mean_precision": None})
         mean = fmt_decimal(_Fields(stats).fraction("mean_precision"))
@@ -565,7 +540,7 @@ def _cmd_analyze_cochange(args) -> int:
 
 def _cmd_sample_merges(args) -> int:
     graph = load_snapshot(args.snapshot)
-    file_config = _load_config_file(args.config)
+    file_config = _file_config(args)
     out_dir = _resolve_out_dir(args, file_config)
     sampled = sample_heavy_merges(graph, args.min_added, args.n, args.seed)
     rows = []
@@ -578,13 +553,9 @@ def _cmd_sample_merges(args) -> int:
         ["merge_id", "added_cochanges", "branch_length", "merge_size"],
         rows,
     )
-    _write_metadata(
-        out_dir,
-        "sample-merges",
-        args.snapshot,
-        {"min_added": args.min_added, "n": args.n, "seed": args.seed},
-        ["sampled_merges.csv"],
-    )
+    _write_metadata(out_dir, args,
+                    {"min_added": args.min_added, "n": args.n, "seed": args.seed},
+                    ["sampled_merges.csv"])
     for cid in sampled:
         print(cid)
     print(f"{len(sampled)} merges -> {out_dir / 'sampled_merges.csv'}")
@@ -595,14 +566,10 @@ def _cmd_report(args) -> int:
     """Check every summary, then print their tables, as ``evaluate`` does."""
     blocks = []
     for path in args.summary:
+        summary = _read_json_object(path)
         try:
-            summary = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(summary, dict):
-                return _error(f"{path} does not hold a JSON object", 2)
             blocks.append(_summary_block(summary))
-        except json.JSONDecodeError as exc:
-            return _error(f"{path} is not valid JSON: {exc.msg}", 2)
-        except ValueError as exc:  # a malformed field, or text that is not UTF-8
+        except ValueError as exc:  # a malformed field, or figures that disagree
             return _error(f"{path}: {exc}", 2)
     print(_render_blocks(blocks))
     return 0

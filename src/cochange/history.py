@@ -273,7 +273,8 @@ def _branch_of(
     """Non-merge commits on ``merge``'s side chains, each walked by first
     parents until it reaches an ancestor of the first parent.  An inner
     merge met on the way adds its finished ``table`` entry instead of
-    being walked again."""
+    being walked again.  A side whose history shares no commit with the
+    first parent's adds nothing."""
     commits = graph.commits
     fp, *sides = commits[merge].parents
     if fp not in commits:
@@ -281,16 +282,21 @@ def _branch_of(
     stop = _reachable(graph, fp)
     result: set[str] = set()
     for side in sides:
-        if side not in commits or stop.isdisjoint(_reachable(graph, side)):
+        if side not in commits:
             continue
+        chain: set[str] = set()
         cur: str | None = side
         while cur is not None and cur not in stop:
             c = commits[cur]
             if c.is_merge:
-                result |= table[cur]
+                chain |= table[cur]
             else:
-                result.add(cur)
+                chain.add(cur)
             cur = c.parents[0] if c.parents and c.parents[0] in commits else None
+        # Meeting ``stop`` proves shared history; only a chain that ended
+        # at a root or boundary needs the whole-ancestry test.
+        if cur is not None or not stop.isdisjoint(_reachable(graph, side)):
+            result |= chain
     return frozenset(result)
 
 

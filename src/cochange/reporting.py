@@ -266,10 +266,12 @@ _RATE_COLUMNS = (("mean_recommendations", "recs", 8), ("mean_rules", "rules", 8)
 
 def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
     """One summary's table lines and its repo winners (None without
-    events), every field read through ``_Fields``."""
+    events), every field read through ``_Fields``.  The figures must
+    agree: each strategy's events and the wins plus draws equal
+    ``events``, and each winner is a strategy of the pair or ``draw``."""
     s = _Fields(summary)
     pair = s.nested("strategy_pair", list)
-    if len(pair.container) != 2:
+    if len(pair.container) != 2 or pair.container[0] == pair.container[1]:
         raise ValueError("strategy_pair: must name two strategies")
     names = [pair(0, str), pair(1, str)]
     out = [f"== {s('repo_label', str) or '(unlabelled)'}: {names[0]} vs "
@@ -287,15 +289,24 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
             f"{'strategy':<14}{'events':>8}"
             + "".join(f"{head:>{w}}" for _, head, w in _RATE_COLUMNS) + f"{'wins':>6}"]
     per_strategy = s.nested("per_strategy")
+    wins = []
     for name in names:
         if name not in per_strategy.container:
             raise ValueError(f"strategy_pair: {name!r} is not in per_strategy")
         f = per_strategy.nested(name)
-        out.append(f"{name:<14}{f('events', int):>8}"
+        if f("events", int) != events:
+            raise ValueError(
+                f"per_strategy.{name}.events: must equal events ({events})")
+        wins.append(f("wins", int))
+        out.append(f"{name:<14}{events:>8}"
                    + "".join(f"{fmt_decimal(f.fraction(key)):>{w}}"
                              for key, _, w in _RATE_COLUMNS)
-                   + f"{f('wins', int):>6}")
-    out.append(f"draws: {s('draws', int)}")
+                   + f"{wins[-1]:>6}")
+    draws = s("draws", int)
+    if sum(wins) + draws != events:
+        raise ValueError(f"per_strategy.{names[0]}.wins + per_strategy.{names[1]}.wins"
+                         f" + draws: must add up to events ({events})")
+    out.append(f"draws: {draws}")
     wilcoxon = s.nested("wilcoxon_map")
     p_value = wilcoxon("p_value", float, type(None))
     if p_value is not None:
@@ -303,6 +314,10 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
                    f"{wilcoxon('statistic', float):.1f} p={p_value:.5f}")
     winner = s.nested("repo_winner")
     winners = {metric: winner(metric, str) for metric in METRICS}
+    for metric, name in winners.items():
+        if name not in (*names, "draw"):
+            raise ValueError(f"repo_winner.{metric}: must name a strategy of "
+                             "strategy_pair or draw")
     out.append("repo winner: " + "  ".join(f"{m}={n}" for m, n in winners.items()))
     return out + [""], winners
 
@@ -322,5 +337,6 @@ def _render_blocks(blocks: Sequence[tuple[list[str], dict | None]]) -> str:
 
 def render_summary_tables(summaries: Sequence[dict]) -> str:
     """Human-readable tables for one or more evaluation summaries; a
-    field that is missing or of the wrong JSON type raises ValueError."""
+    field that is missing or of the wrong JSON type, or figures that
+    disagree, raise ValueError."""
     return _render_blocks([_summary_block(s) for s in summaries])

@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochange import save_snapshot
-from cochange.cli import OUTPUT_DIR_ENV, main
+from cochange import RecommenderConfig, save_snapshot
+from cochange.cli import _CONFIG_FIELDS, OUTPUT_DIR_ENV, main
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
@@ -505,6 +506,83 @@ class TestConfigPrecedence:
         assert "Traceback" not in err
 
 
+class TestSettingsTable:
+    def test_table_covers_every_recommender_field(self):
+        assert set(_CONFIG_FIELDS) == {f.name for f in fields(RecommenderConfig)}
+
+    # (field, flag text, config-file value, run_metadata.json echo); none
+    # is the full,fp-merge profile's value or the default.
+    SETTINGS = [
+        ("minsup", "1/5", "1/5", {"num": 1, "den": 5}),
+        ("minconf", "0.3", 0.3, {"num": 3, "den": 10}),
+        ("max_commits", "40", 40, 40),
+        ("max_changeset_size", "9", 9, 9),
+        ("max_rules", "4", 4, 4),
+        ("collector", "sequential", "sequential", "sequential"),
+    ]
+
+    @pytest.mark.parametrize("key, flag, value, echo", SETTINGS)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_setting_reaches_run_metadata(
+        self, tmp_path, key, flag, value, echo, source
+    ):
+        snap = snap_of(branchy_graph(), tmp_path)
+        out = tmp_path / "out"
+        if source == "flag":
+            extra = [f"--{key.replace('_', '-')}", flag]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra = ["--config", str(cfg)]
+        assert main(["evaluate", "--snapshot", snap, "--pair", "full,fp-merge",
+                     "--out", str(out), "--unsafe-override", *extra]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["settings"]["recommender"][key] == echo
+
+    def test_profile_is_checked_before_the_snapshot_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["evaluate", "--snapshot", str(tmp_path / "missing.jsonl"),
+                     "--pair", "full,fp-merge", "--out", str(out),
+                     "--collector", "sequential"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "collector contradict the full,fp-merge profile" in err
+        assert not out.exists()
+
+
+class TestConfigFileErrors:
+    CONTENTS = [
+        (b"\xff\xfe", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"{bad", " is not valid JSON: "),
+        (b"[1]", " does not hold a JSON object\n"),
+        (b"[" * 100_000, ": maximum recursion depth exceeded"),
+        (b"1" * 5000, ": "),  # longer than int() converts
+    ]
+
+    @pytest.mark.parametrize("content, message", CONTENTS)
+    @pytest.mark.parametrize("command", [
+        "recommend", "evaluate", "analyze-branches", "analyze-cochange",
+        "sample-merges",
+    ])
+    def test_is_data_error_naming_the_file(
+        self, tmp_path, capsys, command, content, message
+    ):
+        snap = snap_of(coupled_graph(), tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        argv = [command, "--snapshot", snap, "--config", str(cfg)]
+        if command == "recommend":
+            argv += ["--strategy", "full", "--at", hid("T"), "--files", "a"]
+        else:
+            argv += ["--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--pair", "full,fp-merge"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cochange: error: {cfg}{message}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestAnalyzeBranches:
     EXPECTED = [
         "winner_rate_branch_length_single.csv",
@@ -946,6 +1024,33 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(summary))
         assert main(["report", "--summary", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cochange: error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("repo_winner", "wins"), "bogus",
+         "repo_winner.wins: must name a strategy of strategy_pair or draw"),
+        (("per_strategy", "full", "wins"), 999,
+         "per_strategy.full.wins + per_strategy.fp-merge.wins + draws: "
+         "must add up to events (34)"),
+        (("per_strategy", "fp-merge", "events"), 35,
+         "per_strategy.fp-merge.events: must equal events (34)"),
+        (("strategy_pair", 1), "full", "strategy_pair: must name two strategies"),
+    ])
+    def test_figures_that_disagree_are_data_error(
+        self, real_summary, tmp_path, capsys, keys, value, message
+    ):
+        _, summary = real_summary
+        assert summary["events"] == 34
+        summary = copy.deepcopy(summary)
+        parent = summary
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"cochange: error: {bad}: {message}\n"
