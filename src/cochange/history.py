@@ -19,10 +19,10 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-_COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
+_is_commit_id = re.compile(r"[0-9a-f]{40}").fullmatch
 
 
 class Strategy(Enum):
@@ -41,7 +41,7 @@ class EntryOrigin(Enum):
 
 def validate_commit_id(value: str) -> str:
     """Return ``value`` if it is a full 40-hex lowercase commit id."""
-    if not isinstance(value, str) or not _COMMIT_ID_RE.match(value):
+    if not isinstance(value, str) or not _is_commit_id(value):
         raise ValueError(f"not a 40-hex commit id: {value!r}")
     return value
 
@@ -61,6 +61,12 @@ def validate_file_path(path: str) -> str:
     if any(p in ("", ".", "..") for p in parts):
         raise ValueError(f"file path contains empty or dot segments: {path!r}")
     return path
+
+
+# A history names the same few paths in many commits, so ``Commit``
+# checks each distinct path once.  The memo is bounded and keeps only
+# paths that passed: a failing one raises again on every call.
+_valid_path = lru_cache(maxsize=4096)(validate_file_path)
 
 
 @dataclass(frozen=True)
@@ -84,31 +90,37 @@ class Commit:
     merge_eq: Mapping[str, tuple[bool, ...]] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "changeset", frozenset(self.changeset))
+        parents = self.parents
+        if type(parents) is not tuple:  # a snapshot load passes a tuple
+            parents = tuple(parents)
+            object.__setattr__(self, "parents", parents)
+        changeset = self.changeset
+        if type(changeset) is not frozenset:
+            changeset = frozenset(changeset)
+            object.__setattr__(self, "changeset", changeset)
         cid = validate_commit_id(self.id)
-        for p in self.parents:
+        for p in parents:
             validate_commit_id(p)
-        if len(set(self.parents)) != len(self.parents):
+        if len(set(parents)) != len(parents):
             raise ValueError(f"commit {cid} lists a duplicate parent")
         ts = self.author_timestamp
         if not isinstance(ts, int) or isinstance(ts, bool):
             raise ValueError(f"commit {cid} has a non-integer timestamp")
-        for f in self.changeset:
-            validate_file_path(f)
-        if not self.is_merge:
+        for f in changeset:
+            _valid_path(f)
+        if len(parents) < 2:
             if self.merge_eq:
                 raise ValueError(f"non-merge {cid} carries equality flags")
             object.__setattr__(self, "merge_eq", None)
             return
-        eq = {f: tuple(bool(x) for x in v) for f, v in (self.merge_eq or {}).items()}
-        if set(eq) != self.changeset:
+        eq = {f: tuple(map(bool, v)) for f, v in (self.merge_eq or {}).items()}
+        if eq.keys() != changeset:
             raise ValueError(
                 f"merge {cid}: per-parent equality flags must cover "
                 "exactly the changed files"
             )
         for f, flags in eq.items():
-            if len(flags) != len(self.parents):
+            if len(flags) != len(parents):
                 raise ValueError(
                     f"merge {cid}: equality flags for {f!r} do not "
                     "match the parent count"

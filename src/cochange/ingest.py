@@ -1,14 +1,17 @@
 """Reading git repositories and persisting history snapshots.
 
 A snapshot is a line-oriented JSON file: one header line, then one line
-per commit, parents always before children.  Snapshots are byte
+per commit, parents always before children.  Only a newline (``\\n``)
+ends a line, and each line holds one JSON object.  Snapshots are byte
 deterministic for a given graph, so they can be diffed and hashed.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
 import subprocess
+from itertools import repeat
 from pathlib import Path
 
 from .history import Commit, CommitGraph, validate_commit_id
@@ -61,7 +64,20 @@ def save_snapshot(graph: CommitGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The C scanner behind ``json.loads``, without its whitespace skipping
+# and end-of-input check: one call parses one record line.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def _snapshot_json(raw: str, line_no: int) -> dict:
+    try:
+        value, end = _scan_once(raw, 0)
+        if end == len(raw) and type(value) is dict:
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    # whitespace around the value, extra data, invalid JSON or not an
+    # object: json.loads accepts the line or gives the message
     try:
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -74,7 +90,7 @@ def _snapshot_json(raw: str, line_no: int) -> dict:
 
 
 def _list_of(kind: type, value, what: str, line_no: int) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(kind))):
         raise SnapshotError(f"{what} must be a list of {kind.__name__}", line_no)
     return value
 
@@ -91,7 +107,9 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         raise SnapshotError(
             f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1
         ) from None
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:  # the final newline ends the last line
+        lines.pop()
     if not lines:
         raise SnapshotError("snapshot is empty", 1)
     header = _snapshot_json(lines[0], 1)
@@ -126,7 +144,11 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         if not isinstance(merge_eq, dict):
             raise SnapshotError("merge_eq must be an object", line_no)
         for f, flags in merge_eq.items():
-            _list_of(bool, flags, f"merge_eq[{f!r}]", line_no)
+            # _list_of's test, inlined: the message is built only on failure
+            if not isinstance(flags, list) or not all(
+                map(isinstance, flags, repeat(bool))
+            ):
+                raise SnapshotError(f"merge_eq[{f!r}] must be a list of bool", line_no)
         try:
             commit = Commit(
                 rec["id"], tuple(parents), rec["ts"], frozenset(files), merge_eq

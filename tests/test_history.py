@@ -18,6 +18,7 @@ from cochange import (
 from cochange.history import (
     ChangesetEntry,
     _reachable,
+    _valid_path,
     validate_commit_id,
     validate_file_path,
 )
@@ -39,7 +40,8 @@ NAMES = {hid(t): t for t in "ABCDEFGH"}
 class TestValidation:
     def test_commit_id_must_be_40_hex(self):
         validate_commit_id(hid("ok"))
-        for bad in ["", "abc", "Z" * 40, hid("x")[:-1], hid("x").upper()]:
+        for bad in ["", "abc", "Z" * 40, hid("x")[:-1], hid("x").upper(),
+                    hid("x") + "\n"]:
             with pytest.raises(ValueError):
                 validate_commit_id(bad)
 
@@ -123,9 +125,128 @@ class TestValidation:
         with pytest.raises(ValueError):
             CommitGraph.from_commits([a, b], head=hid("B"))
 
+    @pytest.mark.parametrize("where", ["id", "parent", "boundary"])
+    def test_trailing_newline_is_not_a_commit_id(self, where):
+        bad = hid("A") + "\n"
+        with pytest.raises(ValueError, match="not a 40-hex commit id"):
+            if where == "id":
+                Commit(bad, (), 1, frozenset({"a"}))
+            elif where == "parent":
+                Commit(hid("B"), (bad,), 2, frozenset({"b"}))
+            else:
+                CommitGraph.from_commits(
+                    [mk_commit("B", ["A"], 2, ["b"])], hid("B"), boundaries=[bad]
+                )
+
+    def test_path_memo_keeps_only_valid_paths(self):
+        _valid_path.cache_clear()
+        mk_commit("A", [], 1, ["ok.txt"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dot segments"):
+                mk_commit("B", [], 1, ["a/../b"])
+        info = _valid_path.cache_info()
+        assert info.currsize == 1
+        assert info.maxsize is not None
+
     def test_unknown_commit_lookup(self, merge_graph):
         with pytest.raises(KeyError):
             merge_graph.commit(hid("nope"))
+
+
+def reference_commit(cid, parents, ts, changeset, merge_eq):
+    """The rules ``Commit`` enforced before its checks were made cheaper,
+    as a function: the fields it stores, or ValueError."""
+    parents = tuple(parents)
+    changeset = frozenset(changeset)
+    validate_commit_id(cid)
+    for p in parents:
+        validate_commit_id(p)
+    if len(set(parents)) != len(parents):
+        raise ValueError(f"commit {cid} lists a duplicate parent")
+    if not isinstance(ts, int) or isinstance(ts, bool):
+        raise ValueError(f"commit {cid} has a non-integer timestamp")
+    for f in changeset:
+        validate_file_path(f)
+    if len(parents) < 2:
+        if merge_eq:
+            raise ValueError(f"non-merge {cid} carries equality flags")
+        return cid, parents, ts, changeset, None
+    eq = {f: tuple(bool(x) for x in v) for f, v in (merge_eq or {}).items()}
+    if set(eq) != changeset:
+        raise ValueError(
+            f"merge {cid}: per-parent equality flags must cover "
+            "exactly the changed files"
+        )
+    for f, flags in eq.items():
+        if len(flags) != len(parents):
+            raise ValueError(
+                f"merge {cid}: equality flags for {f!r} do not "
+                "match the parent count"
+            )
+        if flags[0]:
+            raise ValueError(
+                f"merge {cid}: {f!r} is in the changeset but "
+                "flagged equal to the first parent"
+            )
+    return cid, parents, ts, changeset, eq
+
+
+ID_POOL = [hid("a"), hid("b"), hid("c"), hid("a") + "\n", "abc", hid("a").upper(), 5]
+PATH_POOL = ["x", "y", "d/z", "", "/abs", "a/../b", "bad\udcff", 5]
+
+
+def mostly(valid, invalid):
+    """``valid`` three times in four, else ``invalid``."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+@st.composite
+def commit_arguments(draw):
+    """Commit arguments, most of them valid, some breaking a rule."""
+    cid = draw(mostly(st.sampled_from(ID_POOL[:3]), st.sampled_from(ID_POOL)))
+    parents = draw(mostly(
+        st.lists(st.sampled_from(ID_POOL[:3]), max_size=3, unique=True),
+        st.lists(st.sampled_from(ID_POOL), max_size=3),
+    ))
+    parents = draw(st.sampled_from([tuple, list]))(parents)
+    ts = draw(mostly(st.integers(0, 9), st.sampled_from([True, "1", None])))
+    files = draw(mostly(
+        st.sets(st.sampled_from(PATH_POOL[:3]), max_size=3),
+        st.sets(st.sampled_from(PATH_POOL), max_size=3),
+    ))
+    changeset = draw(st.sampled_from([frozenset, set, list]))(files)
+    n = len(parents)
+    fitting = st.none()
+    if n >= 2:  # one flag per parent, the first one false
+        flag = st.booleans() | st.integers(0, 1)
+        flags = st.tuples(st.sampled_from([False, 0]), *[flag] * (n - 1))
+        fitting = st.fixed_dictionaries({f: flags for f in files})
+    any_flags = st.lists(st.booleans() | st.integers(0, 1), max_size=4)
+    merge_eq = draw(mostly(fitting, st.one_of(
+        st.none(),
+        st.just({}),
+        st.fixed_dictionaries({f: st.tuples(*[st.booleans()] * n) for f in files}),
+        st.fixed_dictionaries({f: any_flags for f in files}),
+        st.dictionaries(st.sampled_from(PATH_POOL[:3]), any_flags, max_size=3),
+    )))
+    return cid, parents, ts, changeset, merge_eq
+
+
+class TestCommitAgainstReference:
+    @settings(max_examples=1000)
+    @given(args=commit_arguments())
+    def test_same_fields_or_same_error(self, args):
+        try:
+            expected = reference_commit(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Commit(*args)
+            assert str(got.value) == str(exc)
+            return
+        c = Commit(*args)
+        assert (c.id, c.parents, c.author_timestamp, c.changeset, c.merge_eq) == expected
+        assert type(c.parents) is tuple and type(c.changeset) is frozenset
+        assert repr(c.merge_eq) == repr(expected[4])  # True, not 1
 
 
 class TestTraversal:

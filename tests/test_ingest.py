@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cochange import (
+    Commit,
     CommitGraph,
     IngestError,
     SnapshotError,
@@ -16,7 +17,8 @@ from cochange import (
 )
 
 import cochange.ingest as ingest_mod
-from conftest import GitSandbox, run_git
+from cochange.history import validate_commit_id
+from conftest import GitSandbox, build_graph, hid, mk_commit, random_dags, run_git
 from synthgen import generic_graph
 
 
@@ -381,6 +383,41 @@ class TestSnapshotValidation:
             load_snapshot(write_lines(tmp_path, lines))
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("record", ["header", "child"])
+    def test_id_with_trailing_newline_names_its_line(
+        self, merge_graph, tmp_path, record
+    ):
+        records = [json.loads(raw) for raw in lines_of(merge_graph, tmp_path)]
+        if record == "header":
+            records[0]["boundaries"] = [hid("edge") + "\n"]
+        else:
+            records[2]["id"] += "\n"
+        path = write_lines(tmp_path, [json.dumps(r) for r in records])
+        with pytest.raises(SnapshotError, match="not a 40-hex commit id") as exc:
+            load_snapshot(path)
+        assert exc.value.line == {"header": 1, "child": 3}[record]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_raw_line_separator_in_a_path_is_data(self, tmp_path, char):
+        graph = build_graph(
+            [mk_commit("A", [], 1, [f"a{char}b.txt"]), mk_commit("B", ["A"], 2, ["c"])],
+            "B",
+        )
+        escaped = tmp_path / "escaped.jsonl"
+        save_snapshot(graph, escaped)
+        records = [json.loads(raw) for raw in escaped.read_text().split("\n")[:-1]]
+        raw = tmp_path / "raw.jsonl"
+        raw.write_bytes("".join(
+            json.dumps(r, ensure_ascii=False) + "\n" for r in records
+        ).encode("utf-8"))
+        assert char.encode("utf-8") in raw.read_bytes()
+        assert load_snapshot(raw) == load_snapshot(escaped) == graph
+
+    def test_crlf_snapshot_loads(self, merge_graph, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(("\r\n".join(lines_of(merge_graph, tmp_path)) + "\r\n").encode())
+        assert load_snapshot(path) == merge_graph
+
     def test_header_must_be_complete(self, merge_graph, tmp_path):
         lines = lines_of(merge_graph, tmp_path)
         header = json.loads(lines[0])
@@ -631,3 +668,214 @@ class TestSnapshotMutations:
         except SnapshotError:
             return
         assert isinstance(graph, CommitGraph)
+
+
+def reference_load_snapshot(path):
+    """``load_snapshot`` before its record loop was made cheaper: one
+    ``json.loads`` per line and generator type checks.  Only two fixes
+    are applied: lines end at ``\\n`` alone, and an id is matched whole."""
+
+    def as_json(raw, line_no):
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise SnapshotError(f"invalid JSON ({exc.msg})", line_no) from None
+        except (ValueError, RecursionError) as exc:
+            raise SnapshotError(f"invalid JSON ({exc})", line_no) from None
+        if not isinstance(value, dict):
+            raise SnapshotError("expected a JSON object", line_no)
+        return value
+
+    def list_of(kind, value, what, line_no):
+        if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+            raise SnapshotError(f"{what} must be a list of {kind.__name__}", line_no)
+        return value
+
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(
+            f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise SnapshotError("snapshot is empty", 1)
+    header = as_json(lines[0], 1)
+    for key in ("format_version", "repo_label", "head", "boundaries"):
+        if key not in header:
+            raise SnapshotError(f"header is missing {key!r}", 1)
+    version = header["format_version"]
+    if type(version) is not int or version != ingest_mod.FORMAT_VERSION:
+        raise SnapshotError(
+            f"unsupported format_version {version!r}, expected "
+            f"{ingest_mod.FORMAT_VERSION}", 1
+        )
+    for key in ("head", "repo_label"):
+        if not isinstance(header[key], str):
+            raise SnapshotError(f"{key} must be a string", 1)
+    boundaries = frozenset(list_of(str, header["boundaries"], "boundaries", 1))
+    for b in sorted(boundaries):
+        try:
+            validate_commit_id(b)
+        except ValueError as exc:
+            raise SnapshotError(f"boundaries: {exc}", 1) from None
+    commits = {}
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            raise SnapshotError("blank line inside snapshot", line_no)
+        rec = as_json(raw, line_no)
+        for key in ("id", "parents", "ts", "files"):
+            if key not in rec:
+                raise SnapshotError(f"record is missing {key!r}", line_no)
+        parents = list_of(str, rec["parents"], "parents", line_no)
+        files = list_of(str, rec["files"], "files", line_no)
+        merge_eq = rec.get("merge_eq", {})
+        if not isinstance(merge_eq, dict):
+            raise SnapshotError("merge_eq must be an object", line_no)
+        for f, flags in merge_eq.items():
+            list_of(bool, flags, f"merge_eq[{f!r}]", line_no)
+        try:
+            commit = Commit(
+                rec["id"], tuple(parents), rec["ts"], frozenset(files), merge_eq
+            )
+        except ValueError as exc:
+            raise SnapshotError(str(exc), line_no) from None
+        cid = commit.id
+        if cid in commits:
+            raise SnapshotError(f"duplicate commit {cid}", line_no)
+        if cid in boundaries:
+            raise SnapshotError(f"commit {cid} is also a boundary", line_no)
+        for p in parents:
+            if p not in commits and p not in boundaries:
+                raise SnapshotError(
+                    f"commit {cid} references parent {p} that neither "
+                    "appeared earlier nor is a boundary",
+                    line_no,
+                )
+        commits[cid] = commit
+    if not commits:
+        raise SnapshotError("snapshot contains no commits", 1)
+    head = header["head"]
+    if head not in commits:
+        raise SnapshotError(f"head {head} is not among the commits", 1)
+    try:
+        return CommitGraph(commits, head, boundaries, header["repo_label"])
+    except ValueError as exc:
+        raise SnapshotError(str(exc)) from None
+
+
+def load_outcome(load, path):
+    """The graph ``load`` returns, or its SnapshotError's message and line."""
+    try:
+        return load(path)
+    except SnapshotError as exc:
+        return str(exc), exc.line
+
+
+LINE_EDITS = ["split", "join", "lead", "trail", "crlf", "ending"]
+
+
+def mutate(data, lines):
+    """One of TestSnapshotMutations' edits, a whole line or one merge flag
+    replaced by another JSON value, or a line-boundary edit; returns the
+    file's bytes."""
+    lines = list(lines)
+    kind = data.draw(st.sampled_from([
+        "none", "replace", "delete", "swap", "duplicate", "bytes", "line", "flag",
+        *LINE_EDITS,
+    ]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind in ("replace", "delete"):
+        rec = json.loads(lines[i])
+        key = data.draw(st.sampled_from(sorted(rec)))
+        if kind == "replace":
+            rec[key] = data.draw(JSON_VALUES)
+        else:
+            del rec[key]
+        lines[i] = json.dumps(rec)
+    elif kind == "line":
+        lines[i] = json.dumps(data.draw(JSON_VALUES))
+    elif kind == "flag":
+        merges = [j for j, raw in enumerate(lines) if json.loads(raw).get("merge_eq")]
+        if merges:
+            i = data.draw(st.sampled_from(merges))
+            rec = json.loads(lines[i])
+            flags = rec["merge_eq"][data.draw(st.sampled_from(sorted(rec["merge_eq"])))]
+            flags[data.draw(st.integers(0, len(flags) - 1))] = data.draw(
+                st.sampled_from([0, 1, 1.0, None, "true", [False], not flags[-1]])
+            )
+            lines[i] = json.dumps(rec)
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "split":
+        cut = data.draw(st.integers(0, len(lines[i])))
+        lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+    elif kind == "join" and i + 1 < len(lines):
+        lines[i:i + 2] = [lines[i] + lines[i + 1]]
+    elif kind in ("lead", "trail"):
+        pad = data.draw(st.sampled_from([" ", "\t", "\r", " \r", "\x0c", "\u2028"]))
+        lines[i] = pad + lines[i] if kind == "lead" else lines[i] + pad
+    ending = "\n"
+    if kind == "ending":
+        ending = data.draw(st.sampled_from(["", "\n\n", "\n \n", "\r", "\n\r\n"]))
+    body = "\n".join(lines) + ending
+    if kind == "crlf":
+        body = body.replace("\n", "\r\n")
+    body = body.encode("utf-8")
+    if kind == "bytes":
+        patch = data.draw(st.binary(min_size=1, max_size=4))
+        pos = data.draw(st.integers(0, len(body) - 1))
+        body = body[:pos] + patch + body[pos + len(patch):]
+    return body
+
+
+class TestLoaderAgainstReference:
+    @settings(max_examples=300)
+    @given(graph=random_dags())
+    def test_valid_snapshots_load_equal(self, saved_snapshot, graph):
+        directory, _ = saved_snapshot
+        path = directory / "dag.jsonl"
+        save_snapshot(graph, path)
+        assert load_snapshot(path) == reference_load_snapshot(path) == graph
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_mutations_give_the_same_graph_or_error(self, saved_snapshot, data):
+        directory, lines = saved_snapshot
+        path = directory / "mutated.jsonl"
+        path.write_bytes(mutate(data, lines))
+        assert load_outcome(load_snapshot, path) == load_outcome(
+            reference_load_snapshot, path
+        )
+
+    @settings(max_examples=200)
+    @given(graph=random_dags(), data=st.data())
+    def test_mutated_dags_give_the_same_graph_or_error(
+        self, saved_snapshot, graph, data
+    ):
+        directory, _ = saved_snapshot
+        path = directory / "dag.jsonl"
+        save_snapshot(graph, path)
+        path.write_bytes(mutate(data, path.read_text().splitlines()))
+        assert load_outcome(load_snapshot, path) == load_outcome(
+            reference_load_snapshot, path
+        )
+
+    def test_lines_that_parse_only_when_joined(self, merge_graph, tmp_path):
+        # joined into one JSON array these three lines parse as three
+        # objects, the first two merged, because the string swallows the
+        # separating comma; each line alone is not a JSON object
+        header = lines_of(merge_graph, tmp_path)[0]
+        path = write_lines(tmp_path, [header, '{"a":"}', '{"}', '{"p":1},{"q":2}'])
+        assert len(json.loads("[" + ",".join(['{"a":"}', '{"}', '{"p":1},{"q":2}'])
+                              + "]")) == 3
+        for load in (load_snapshot, reference_load_snapshot):
+            with pytest.raises(SnapshotError, match="invalid JSON") as exc:
+                load(path)
+            assert exc.value.line == 2
