@@ -9,7 +9,7 @@ co-change information is against future history.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -234,23 +234,22 @@ def cochanged_files(
     return frozenset(out)
 
 
-def _descendants_nearest_first(graph: CommitGraph, commit: str) -> list[str]:
-    """Commits that can reach ``commit``, ordered by parent-edge distance,
-    then timestamp, then id."""
-    children = graph._children
-    dist: dict[str, int] = {commit: 0}
-    queue = deque([commit])
-    while queue:
-        cur = queue.popleft()
-        for kid in children[cur]:
-            if kid not in dist:
-                dist[kid] = dist[cur] + 1
-                queue.append(kid)
-    del dist[commit]
-    return sorted(
-        dist,
-        key=lambda cid: (dist[cid], graph.commits[cid].author_timestamp, cid),
-    )
+def _future(graph: CommitGraph, merge: str, horizon: int) -> list[frozenset[str]]:
+    """Changesets of the ``horizon`` commits nearest after ``merge``:
+    its descendants by parent-edge distance, then timestamp, then id.
+    Each distance level is found and sorted only while it is needed."""
+    commits, children = graph.commits, graph._children
+    seen = {merge}
+    level = [merge]
+    nearest: list[str] = []
+    while level and len(nearest) < horizon:
+        level = sorted(
+            {kid for cid in level for kid in children[cid]} - seen,
+            key=lambda cid: (commits[cid].author_timestamp, cid),
+        )
+        seen.update(level)
+        nearest += level
+    return [commits[cid].changeset for cid in nearest[:horizon]]
 
 
 def future_oracle(
@@ -259,12 +258,7 @@ def future_oracle(
     """Files co-changed with ``target`` in the next ``horizon`` commits
     that descend from ``merge``."""
     graph.commit(merge)
-    if horizon <= 0:
-        return frozenset()
-    nearest = _descendants_nearest_first(graph, merge)[:horizon]
-    return cochanged_files(
-        (graph.commits[cid].changeset for cid in nearest), target
-    )
+    return cochanged_files(_future(graph, merge, horizon), target)
 
 
 def precision(changed: frozenset[str], oracle: frozenset[str]) -> Fraction:
@@ -307,16 +301,13 @@ def cochange_study(
     records: list[tuple[PrecisionRecord, BranchInfo]] = []
     diag = StudyDiagnostics()
     for merge in eligible_merges_for_cochange(graph):
-        nearest = _descendants_nearest_first(graph, merge)
-        if not nearest:
+        if not graph._children[merge]:
             diag.merges_skipped_no_future += 1
             continue
-        future = [graph.commits[cid].changeset for cid in nearest[:horizon]]
+        future = _future(graph, merge, horizon)
         info = branch_info(graph, merge)
         merge_changeset = graph.commits[merge].changeset
-        branch_changesets = [
-            graph.commits[b].changeset for b in sorted(info.branch_commit_ids)
-        ]
+        branch_changesets = [graph.commits[b].changeset for b in info.branch_commit_ids]
         targets = merge_changeset.union(*branch_changesets)
         for mode, sources in (
             (CochangeMode.FROM_MERGE, [merge_changeset]),

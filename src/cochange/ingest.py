@@ -204,12 +204,13 @@ def _blocks(out: str) -> list[tuple[str, set[str]]]:
     """Split ``%x01``-headed git output into (header, file names) blocks.
 
     git C-quotes control characters in paths, so a path is one line and
-    never holds ``\x01``.
+    never holds ``\x01``.  Lines end at ``\n`` only: git prints U+2028,
+    U+2029 and U+0085 raw, and they belong to the path.
     """
     blocks = []
     for chunk in out.split("\x01")[1:]:
         header, _, rest = chunk.partition("\n")
-        blocks.append((header.strip(), {ln for ln in rest.splitlines() if ln}))
+        blocks.append((header.strip(), {ln for ln in rest.split("\n") if ln}))
     return blocks
 
 

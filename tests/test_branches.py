@@ -1,4 +1,6 @@
 import json
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from cochange import (
     CochangeMode,
     Cohort,
     Collector,
+    CommitGraph,
     PairedVerdict,
     Query,
     RecommenderConfig,
@@ -32,7 +35,7 @@ from cochange import (
     save_snapshot,
     winner_rate_table,
 )
-from cochange.branches import median_cap
+from cochange.branches import _future, median_cap
 from cochange.cli import main
 from cochange.history import _reachable, additional_changes, merge_commit_size
 
@@ -341,6 +344,7 @@ class TestCochangedFilesAndOracle:
 
     def test_future_oracle_horizon_zero(self, linear_graph):
         assert future_oracle(linear_graph, hid("L2"), "a", horizon=0) == frozenset()
+        assert future_oracle(linear_graph, hid("L2"), "a", horizon=-1) == frozenset()
 
     def test_future_oracle_nearest_first(self, merge_graph):
         # descendants of A by distance, then timestamp: C, B, D, E, H;
@@ -355,6 +359,56 @@ class TestCochangedFilesAndOracle:
     def test_future_oracle_unknown_commit(self, merge_graph):
         with pytest.raises(KeyError):
             future_oracle(merge_graph, hid("nope"), "x")
+
+
+def reference_future(graph, merge, horizon):
+    """The earlier window: every descendant of ``merge`` by BFS, sorted
+    by (distance, timestamp, id), then sliced."""
+    dist = {merge: 0}
+    queue = deque([merge])
+    while queue:
+        cur = queue.popleft()
+        for kid in graph._children[cur]:
+            if kid not in dist:
+                dist[kid] = dist[cur] + 1
+                queue.append(kid)
+    del dist[merge]
+    nearest = sorted(
+        dist,
+        key=lambda cid: (dist[cid], graph.commits[cid].author_timestamp, cid),
+    )
+    return [graph.commits[cid].changeset for cid in nearest[:horizon]]
+
+
+def one_file_per_commit(graph):
+    """The same DAG with each commit changing only a file named after
+    it, so a list of changesets spells out the commits in order."""
+    return CommitGraph.from_commits(
+        (
+            replace(
+                c,
+                changeset={c.id},
+                merge_eq={c.id: (False,) + (True,) * (len(c.parents) - 1)}
+                if c.is_merge else None,
+            )
+            for c in graph.commits.values()
+        ),
+        graph.head,
+        graph.boundaries,
+        graph.label,
+    )
+
+
+class TestFutureWindowAgainstReference:
+    @settings(max_examples=300)
+    @given(graph=random_dags())
+    def test_matches_the_whole_walk_sorted_and_sliced(self, graph):
+        graph = one_file_per_commit(graph)
+        for cid in graph.commits:
+            for horizon in range(len(graph.commits) + 2):
+                assert _future(graph, cid, horizon) == reference_future(
+                    graph, cid, horizon
+                )
 
 
 class TestPrecisionFormula:
@@ -443,6 +497,10 @@ class TestCochangeStudy:
         rec_merge = records[0][0]
         assert rec_merge.per_file_precision["p1"] == Fraction(1, 3)
         assert rec_merge.per_file_precision["p2"] == 0
+        # no future commit is read, yet the merge has one: scored, not skipped
+        records, diag = cochange_study(g, horizon=0)
+        assert diag.merges_skipped_no_future == 0
+        assert [r.mean_precision for r, _ in records] == [0, 0]
 
 
 class TestAddedCochange:

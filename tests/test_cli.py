@@ -679,6 +679,38 @@ class TestAnalyzeBranches:
         analysis = json.loads((out / "branch_analysis.json").read_text())
         assert analysis["cases_after_cap"] == 3
 
+    def test_difference_no_merge_explains_is_counted_unattributed(
+        self, tmp_path, capsys
+    ):
+        # The full walk reaches X1 and X2 through M, an unrelated root
+        # history; fp-merge sees only M's squashed diff, which is over
+        # max_changeset_size.  No merge's branch holds X1 or X2 (a
+        # disjoint history adds nothing to one), so nothing is blamed.
+        commits = [mk_commit("A", [], 1, ["q.txt", "r.txt"])]
+        prev = "A"
+        for i in range(6):
+            commits.append(mk_commit(f"P{i}", [prev], 2 + i, ["q.txt", "r.txt"]))
+            prev = f"P{i}"
+        x1 = ["q.txt"] + [f"x1_{i}" for i in range(5)]
+        x2 = ["r.txt"] + [f"x2_{i}" for i in range(7)]
+        commits += [
+            mk_commit("X1", [], 3, x1),
+            mk_commit("X2", ["X1"], 5, x2),
+            clean_merge("M", ["P5", "X2"], 10, x1 + x2),
+            mk_commit("C", ["M"], 11, ["q.txt", "r.txt"]),
+        ]
+        assert len(commits[-2].changeset) == 14
+        snap = snap_of(build_graph(commits, "C"), tmp_path)
+        out = tmp_path / "out"
+        assert main(["analyze-branches", "--snapshot", snap, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"0 diagnosed cases (0 with equal collections, 2 unattributed) -> {out}\n"
+        )
+        analysis = json.loads((out / "branch_analysis.json").read_text())
+        assert analysis["cases_evaluated"] == 2
+        assert analysis["cases_unattributed"] == 2
+        assert analysis["cases_diagnosed"] == 0
+
     # sha256 of every output except run_metadata.json, in name order,
     # recorded from the implementation that re-walked every case's
     # collections; the single evaluation pass must reproduce them.

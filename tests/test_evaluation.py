@@ -509,6 +509,13 @@ class TestRunExperiment:
         # proves the loop survived the error
         assert result.ineligible_reasons == {"changeset size out of range": 1}
 
+    def test_same_strategy_twice_is_refused(self):
+        with pytest.raises(ValueError, match="needs two distinct strategies"):
+            run_experiment(
+                eligible_graph(), (Strategy.FULL, Strategy.FULL),
+                RecommenderConfig(), False,
+            )
+
     def test_repo_label_defaults_to_graph_label(self):
         g = eligible_graph()
         result = run_experiment(g, PAIR_NO_MERGE, RecommenderConfig(), False)

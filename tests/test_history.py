@@ -119,6 +119,27 @@ class TestValidation:
                 commits, hid("B"), boundaries=[hid("A"), "not-an-id"]
             )
 
+    def test_graph_rejects_no_commits(self):
+        with pytest.raises(ValueError, match="must contain at least one commit"):
+            CommitGraph({}, hid("A"))
+
+    def test_graph_rejects_boundary_that_is_a_commit(self):
+        commits = [mk_commit("A", [], 1, ["a"]), mk_commit("B", ["A"], 2, ["b"])]
+        with pytest.raises(ValueError, match="must not also be present commits"):
+            build_graph(commits, "B", boundaries=["A"])
+
+    def test_graph_rejects_commit_under_another_key(self):
+        with pytest.raises(
+            ValueError, match=f"commit keyed as {hid('X')} has id {hid('A')}"
+        ):
+            CommitGraph({hid("X"): mk_commit("A", [], 1, ["a"])}, hid("X"))
+
+    def test_commit_stores_given_collections_as_tuple_and_frozenset(self):
+        c = Commit(hid("M"), [hid("A"), hid("B")], 3, {"x"}, {"x": [False, True]})
+        assert type(c.parents) is tuple and c.parents == (hid("A"), hid("B"))
+        assert type(c.changeset) is frozenset and c.changeset == {"x"}
+        assert c.merge_eq == {"x": (False, True)}
+
     def test_graph_rejects_cycle(self):
         a = Commit(hid("A"), (hid("B"),), 1, frozenset({"a"}))
         b = Commit(hid("B"), (hid("A"),), 2, frozenset({"b"}))

@@ -17,6 +17,7 @@ from cochange import (
 )
 
 import cochange.ingest as ingest_mod
+from cochange.cli import main
 from cochange.history import validate_commit_id
 from conftest import GitSandbox, build_graph, hid, mk_commit, random_dags, run_git
 from synthgen import generic_graph
@@ -95,6 +96,24 @@ class TestIngestNonUtf8Paths:
         message = str(exc.value)
         assert message.startswith(f"commit {bad}: ")
         assert "not valid UTF-8: 'bad\\udcff.txt'" in message
+
+
+class TestIngestLineSeparatorPaths:
+    def test_names_holding_line_separators_arrive_whole(
+        self, git_sandbox, tmp_path, capsys
+    ):
+        # git prints U+2028, U+2029 and U+0085 raw; only "\n" ends a path
+        s = git_sandbox
+        names = ["a\u2028b.txt", "c\u2029d.txt", "e\u0085f.txt", "plain.txt"]
+        s.commit("one", {name: "x" for name in names})
+        assert sorted(p.name for p in s.path.iterdir() if p.is_file()) == sorted(names)
+        g = ingest_repository(s.path)
+        assert sorted(g.commits[g.head].changeset) == sorted(names)
+        snap = tmp_path / "snap.jsonl"
+        save_snapshot(g, snap)
+        assert load_snapshot(snap) == g
+        assert main(["snapshot-validate", str(snap)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
 
 
 class TestIngestMerges:
@@ -346,6 +365,12 @@ class TestSnapshotValidation:
         p.write_text("")
         with pytest.raises(SnapshotError) as exc:
             load_snapshot(p)
+        assert exc.value.line == 1
+
+    def test_header_without_commits(self, merge_graph, tmp_path):
+        header = lines_of(merge_graph, tmp_path)[0]
+        with pytest.raises(SnapshotError, match="snapshot contains no commits") as exc:
+            load_snapshot(write_lines(tmp_path, [header]))
         assert exc.value.line == 1
 
     def test_missing_file(self, tmp_path):
