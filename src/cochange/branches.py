@@ -91,8 +91,10 @@ def diagnose_causes(
     hits = (ids_a | ids_b) & graph._branch_table.keys()
     for cid in ids_a:
         hits |= owners.get(cid, frozenset())
-    chain = set(ancestors_first_parent(graph, test_case.commit)[1:])
-    causes = (hits & chain) or hits
+    spans = graph._first_parent_spans
+    enter, last = spans[graph.commit(test_case.commit).id]
+    on_chain = {m for m in hits if spans[m][0] < enter and last <= spans[m][1]}
+    causes = on_chain or hits
     if not causes:
         raise CauseAttributionError(
             f"collections differ for {test_case.commit} but no merge "

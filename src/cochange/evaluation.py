@@ -16,15 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple, Sequence, get_args
 
-from .history import CommitGraph, Strategy, ancestors_first_parent
+from .history import CommitGraph, Strategy, ancestors_first_parent, strategy_walk
 from .recommend import (
     PipelineRun,
     Recommendation,
     RecommenderConfig,
-    _collect,
     _fair_pair,
+    _IndexedWalk,
     _run_pipeline,
-    _walk_before,
 )
 
 
@@ -94,31 +93,73 @@ _MIN_TRANSACTIONS = 5
 _CaseRow = tuple[TestCase, PipelineRun, PipelineRun]
 
 
+class _History:
+    """One strategy's indexed walk, reused along a first-parent chain.
+
+    ``at(commit)`` moves to ``commit``, which must be the first-parent
+    of the commit it was last at (or any commit, the first time);
+    ``before()`` gives the walk holding the history strictly before it
+    and the position where that history starts.  The walk is built on
+    the first ``before()`` and then reused: a first-parent walk is the
+    chain itself, and for a non-merge ``c`` with parent ``p``,
+    ``ancestors_all(c) == [c] + ancestors_all(p)``, so a ``full`` walk
+    is rebuilt only after the chain passes a merge.
+    """
+
+    def __init__(
+        self, graph: CommitGraph, strategy: Strategy, config: RecommenderConfig
+    ) -> None:
+        self.graph = graph
+        self.strategy = strategy
+        self.config = config
+        self._commit: str | None = None
+        self._walk: _IndexedWalk | None = None
+        self._start = 0
+
+    def at(self, commit: str) -> None:
+        walk = self._walk
+        if walk is not None:
+            if (self.strategy is Strategy.FULL
+                    and self.graph.commits[self._commit].is_merge):
+                self._walk = None
+            elif (self._start < len(walk.entries)
+                    and walk.entries[self._start].commit_id == commit):
+                self._start += 1
+        self._commit = commit
+
+    def before(self) -> tuple[_IndexedWalk, int]:
+        if self._walk is None:
+            entries = strategy_walk(self.graph, self._commit, self.strategy)
+            self._walk = _IndexedWalk(entries, self.config)
+            self._start = 1 if entries and entries[0].commit_id == self._commit else 0
+        return self._walk, self._start
+
+
 def _prepare_commit(
     graph: CommitGraph,
     commit: str,
-    strategies: tuple[Strategy, Strategy],
+    histories: tuple[_History, _History],
     config: RecommenderConfig,
 ) -> tuple[str | None, list[_CaseRow]]:
     """The first eligibility reason ``commit`` fails, or None and each of
-    its test cases with both strategies' pipeline runs.  The reasons that
-    need only the collections are decided before anything is mined, and
-    nothing is walked when the commit yields no case."""
+    its test cases with both strategies' pipeline runs.  ``histories``
+    are both strategies' walks, already moved to ``commit``.  The reasons
+    that need only the collections are decided before anything is mined,
+    and nothing is walked when the commit yields no case."""
     cases = generate_test_cases(graph, commit, config.max_changeset_size)
     if not cases:
         return _REASON_SIZE, []
-    a, b = strategies
-    walk_a = _walk_before(graph, commit, a)
-    walk_b = _walk_before(graph, commit, b)
+    (walk_a, start_a), (walk_b, start_b) = (h.before() for h in histories)
     collected = [
-        (case, _collect(walk_a, case.query, config),
-         _collect(walk_b, case.query, config))
+        (case, walk_a.collect(start_a, case.query),
+         walk_b.collect(start_b, case.query))
         for case in cases
     ]
     if all(db_a == db_b for _, db_a, db_b in collected):
         return _REASON_IDENTICAL, []
     if not any(len(db) >= _MIN_TRANSACTIONS for _, *dbs in collected for db in dbs):
         return _REASON_TOO_FEW, []
+    a, b = (h.strategy for h in histories)
     rows = [
         (case, _run_pipeline(db_a, case.query, a, config),
          _run_pipeline(db_b, case.query, b, config))
@@ -146,7 +187,10 @@ def eligible(
     a, b = strategies
     if a is b:
         raise ValueError("eligibility needs two distinct strategies")
-    reason, _ = _prepare_commit(graph, commit, strategies, config)
+    histories = tuple(_History(graph, s, config) for s in strategies)
+    for h in histories:
+        h.at(commit)
+    reason, _ = _prepare_commit(graph, commit, histories, config)
     return (reason is None), reason
 
 
@@ -396,10 +440,13 @@ def _scored_cases(
     shorter length.
     """
     strategies = (result.strategy_a, result.strategy_b)
+    histories = tuple(_History(graph, s, config) for s in strategies)
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
+        for h in histories:
+            h.at(commit)
         try:
-            reason, rows = _prepare_commit(graph, commit, strategies, config)
+            reason, rows = _prepare_commit(graph, commit, histories, config)
         except Exception as exc:  # keep going; the report names the commit
             result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
             continue

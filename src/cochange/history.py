@@ -199,7 +199,21 @@ class CommitGraph:
                         f"commit {cid} references unknown parent {p} "
                         "(not a commit, not a boundary)"
                     )
-        if len(self._topo_newest_first) != len(self.commits):
+        # Kahn's count: a commit on a cycle, or below one, never frees up.
+        parents = self._parents
+        pending = dict.fromkeys(parents, 0)
+        for ps in parents.values():
+            for p in ps:
+                pending[p] += 1
+        ready = [cid for cid, n in pending.items() if n == 0]
+        freed = 0
+        while ready:
+            freed += 1
+            for p in parents[ready.pop()]:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    ready.append(p)
+        if freed != len(self.commits):
             raise ValueError("commit graph contains a cycle")
 
     @cached_property
@@ -246,6 +260,32 @@ class CommitGraph:
                 if p in kids:
                     kids[p].append(cid)
         return {cid: tuple(sorted(v)) for cid, v in kids.items()}
+
+    @cached_property
+    def _first_parent_spans(self) -> dict[str, tuple[int, int]]:
+        """Each commit's (enter, last) numbers in a depth-first walk of
+        the first-parent forest, where a commit hangs under its first
+        parent when that parent is present.  ``m`` is on ``c``'s
+        first-parent chain, ``c`` itself excluded, exactly when
+        ``enter[m] < enter[c]`` and ``last[c] <= last[m]``."""
+        commits = self.commits
+        kids: dict[str, list[str]] = {cid: [] for cid in commits}
+        stack: list[str] = []
+        for cid, c in commits.items():
+            if c.parents and c.parents[0] in kids:
+                kids[c.parents[0]].append(cid)
+            else:
+                stack.append(cid)
+        order: list[str] = []  # preorder: every subtree is one run
+        while stack:
+            cid = stack.pop()
+            order.append(cid)
+            stack.extend(kids[cid])
+        size = dict.fromkeys(order, 1)
+        for cid in reversed(order):
+            for kid in kids[cid]:
+                size[cid] += size[kid]
+        return {cid: (i, i + size[cid] - 1) for i, cid in enumerate(order)}
 
     @cached_property
     def _branch_table(self) -> dict[str, frozenset[str]]:

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cochange.history as history_module
 from cochange import (
     AssociationRule,
+    Commit,
+    CommitGraph,
     EvaluationRecord,
     Outcome,
     PairedVerdict,
@@ -26,12 +29,12 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-from cochange.evaluation import METRICS, ExperimentResult, _scored_cases
+from cochange.evaluation import METRICS, ExperimentResult, _History, _scored_cases
 from cochange.history import ancestors_first_parent
 from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
 from cochange.reporting import summarize_experiment
 
-from conftest import build_graph, fail_prepare_on, hid, mk_commit
+from conftest import build_graph, fail_prepare_on, hid, mk_commit, random_dags
 from synthgen import generic_graph
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
@@ -591,3 +594,85 @@ class TestEligibilityBeforeMining:
         assert result.commits_considered == len(chain)
         assert result.commits_eligible == len(chain) - sum(reasons.values())
         assert result.errors == []
+
+
+_POOL = ("a", "b", "c", "d", "e")
+# every single file and pair of the pool, and a file no commit changes
+_QUERIES = [frozenset({f}) for f in _POOL + ("z",)] + [
+    frozenset({f, g}) for i, f in enumerate(_POOL) for g in _POOL[i + 1:]
+]
+
+
+@st.composite
+def chain_walk_inputs(draw):
+    """A ``random_dags`` graph whose commits change up to four files of
+    a pool of five (merges with random per-parent flags, so some add
+    nothing), small caps that both bind, and which head-chain commits
+    ask for their history."""
+    shape = draw(random_dags())
+    commits = []
+    for c in shape.commits.values():
+        files = draw(st.frozensets(st.sampled_from(_POOL), max_size=4))
+        flags = None
+        if c.is_merge:
+            others = st.lists(st.booleans(), min_size=len(c.parents) - 1,
+                              max_size=len(c.parents) - 1)
+            flags = {f: (False, *draw(others)) for f in sorted(files)}
+        commits.append(Commit(c.id, c.parents, c.author_timestamp, files, flags))
+    graph = CommitGraph.from_commits(commits, shape.head, shape.boundaries)
+    caps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    chain = ancestors_first_parent(graph, graph.head)
+    asks = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
+    return graph, caps, list(zip(chain, asks))
+
+
+class TestChainWalkAgainstReference:
+    @settings(max_examples=300)
+    @given(drawn=chain_walk_inputs())
+    def test_reused_indexed_walk_collects_what_collect_does(self, drawn):
+        graph, (max_size, max_commits), chain = drawn
+        for strategy in Strategy:
+            for collector in Collector:
+                config = RecommenderConfig(max_changeset_size=max_size,
+                                           max_commits=max_commits,
+                                           collector=collector)
+                history = _History(graph, strategy, config)
+                for commit, asks in chain:
+                    history.at(commit)
+                    if not asks:  # a commit without cases builds nothing
+                        continue
+                    walk, start = history.before()
+                    reference = _walk_before(graph, commit, strategy)
+                    for files in _QUERIES:
+                        assert walk.collect(start, files) == _collect(
+                            reference, files, config
+                        )
+
+    def test_full_walk_is_rebuilt_once_per_chain_merge(self, monkeypatch):
+        #   A -- C -- M1 -- G -- M2 -- H     (first parents)
+        #    \       /         /
+        #     B ------     D --
+        # D forks from M1.  Every stretch of the chain up to a merge
+        # starts with a two-file commit, so each one needs a walk.
+        merged = {"b": (False, True), "d": (False, True)}
+        graph = build_graph([
+            mk_commit("A", [], 1, ["a", "b"]),
+            mk_commit("C", ["A"], 2, ["a", "c"]),
+            mk_commit("B", ["A"], 3, ["b", "d"]),
+            mk_commit("M1", ["C", "B"], 4, ["b", "d"], merged),
+            mk_commit("G", ["M1"], 5, ["a", "d"]),
+            mk_commit("D", ["M1"], 6, ["b", "d"]),
+            mk_commit("M2", ["G", "D"], 7, ["b", "d"], merged),
+            mk_commit("H", ["M2"], 8, ["a", "b"]),
+        ], "H")
+        calls = []
+        real = history_module.ancestors_all
+
+        def counted(graph, start):
+            calls.append(start)
+            return real(graph, start)
+
+        monkeypatch.setattr(history_module, "ancestors_all", counted)
+        result = run_experiment(graph, PAIR_NO_MERGE, RecommenderConfig(), True)
+        assert result.commits_considered == 6 and result.errors == []
+        assert calls == [hid("H"), hid("G"), hid("C")]  # 2 chain merges + 1

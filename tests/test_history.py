@@ -146,6 +146,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             CommitGraph.from_commits([a, b], head=hid("B"))
 
+    def test_graph_rejects_cycle_anywhere(self):
+        a = Commit(hid("A"), (hid("B"),), 1, frozenset({"a"}))
+        b = Commit(hid("B"), (hid("A"),), 2, frozenset({"b"}))
+        c = Commit(hid("C"), (hid("A"),), 3, frozenset({"c"}))
+        loop = Commit(hid("L"), (hid("L"),), 4, frozenset({"l"}))
+        root = mk_commit("R", [], 5, ["r"])
+        for commits, head in [([a, b, c], "C"), ([loop, root], "R")]:
+            with pytest.raises(ValueError, match="^commit graph contains a cycle$"):
+                CommitGraph.from_commits(commits, head=hid(head))
+
+    def test_validation_leaves_the_walk_order_unbuilt(self):
+        graph = build_graph(
+            [mk_commit("A", [], 1, ["a"]), mk_commit("B", ["A"], 2, ["b"])], "B"
+        )
+        assert "_topo_newest_first" not in vars(graph)
+
     @pytest.mark.parametrize("where", ["id", "parent", "boundary"])
     def test_trailing_newline_is_not_a_commit_id(self, where):
         bad = hid("A") + "\n"
@@ -353,6 +369,19 @@ class TestWalkOrderAgainstReference:
             assert ancestors_all(graph, start) == reference_newest_first(
                 graph, reference_reachable(graph, start)
             )
+
+
+class TestFirstParentSpans:
+    @settings(max_examples=300)
+    @given(graph=random_dags())
+    def test_span_test_finds_the_first_parent_chain(self, graph):
+        spans = graph._first_parent_spans
+        for cid in graph.commits:
+            enter, last = spans[cid]
+            assert {
+                m for m, (m_enter, m_last) in spans.items()
+                if m_enter < enter and last <= m_last
+            } == set(ancestors_first_parent(graph, cid)[1:])
 
 
 @st.composite
