@@ -9,20 +9,23 @@ test.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple, Sequence, get_args
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
-from .history import CommitGraph, Strategy, ancestors_first_parent, strategy_walk
+from .history import CommitGraph, Strategy, _entry, ancestors_first_parent
+from .mining import Transaction
 from .recommend import (
+    Collector,
     PipelineRun,
     Recommendation,
     RecommenderConfig,
     _fair_pair,
-    _IndexedWalk,
     _run_pipeline,
 )
 
@@ -93,73 +96,168 @@ _MIN_TRANSACTIONS = 5
 _CaseRow = tuple[TestCase, PipelineRun, PipelineRun]
 
 
-class _History:
-    """One strategy's indexed walk, reused along a first-parent chain.
+class _ChainWalk:
+    """One strategy's walk, spliced along the first-parent chain of
+    ``head`` and indexed by file, for collecting every case of every
+    chain commit.
 
-    ``at(commit)`` moves to ``commit``, which must be the first-parent
-    of the commit it was last at (or any commit, the first time);
-    ``before()`` gives the walk holding the history strictly before it
-    and the position where that history starts.  The walk is built on
-    the first ``before()`` and then reused: a first-parent walk is the
-    chain itself, and for a non-merge ``c`` with parent ``p``,
-    ``ancestors_all(c) == [c] + ancestors_all(p)``, so a ``full`` walk
-    is rebuilt only after the chain passes a merge.
+    The walk is held oldest first: ``_order`` lists the commit ids,
+    ``_pos`` maps each to its position and ``_transactions`` holds each
+    position's changeset (None when the commit contributes nothing),
+    shared by every query.  ``_positions`` lists each file's positions in
+    ascending order; the sequential index leaves out oversized
+    changesets, which that collector never takes, and the per-file index
+    keeps them, since they still take a slot there.
+
+    Construction splices in the chain commits, oldest first, so the walk
+    ends at ``head``, and logs each splice.  ``at(commit)`` undoes
+    splices back to an older chain commit; ``collect`` reads the history
+    strictly before the commit the walk is at.
     """
 
     def __init__(
-        self, graph: CommitGraph, strategy: Strategy, config: RecommenderConfig
+        self,
+        graph: CommitGraph,
+        strategy: Strategy,
+        config: RecommenderConfig,
+        head: str,
     ) -> None:
         self.graph = graph
         self.strategy = strategy
         self.config = config
-        self._commit: str | None = None
-        self._walk: _IndexedWalk | None = None
-        self._start = 0
+        self._order: list[str] = []
+        self._pos: dict[str, int] = {}
+        self._transactions: list[Transaction | None] = []
+        self._positions: defaultdict[str, list[int]] = defaultdict(list)
+        self._log: list[tuple[int, list[str]]] = []  # (pushed, removed)
+        for commit in reversed(ancestors_first_parent(graph, head)):
+            if strategy is Strategy.FULL:
+                new, k = self._newer(commit)
+            else:
+                new, k = [commit], 0
+            removed = self._order[len(self._order) - k:]
+            self._pop(k)
+            self._push(reversed(new))
+            self._log.append((len(new), removed))
+
+    def _newer(self, commit: str) -> tuple[list[str], int]:
+        """The first commits of ``ancestors_all(commit)``, newest first, and
+        the ``k`` such that the rest of that walk is the walk now held
+        (the first parent's) without its ``k`` newest commits.
+
+        ``_newest_first`` is Kahn's algorithm with a max-rank heap, and the
+        heap always holds the commits of the remaining set that have no
+        child in it, so the rest of a walk depends only on the remaining
+        set.  Once every commit missing from the old walk is out and the
+        old commits out are its ``k`` newest, both remaining sets are equal.
+        """
+        graph = self.graph
+        parents, children, rank = graph._parents, graph._children, graph._rank
+        old = self._pos
+        new = {commit}
+        stack = [commit]
+        while stack:
+            for p in parents[stack.pop()]:
+                if p not in old and p not in new:
+                    new.add(p)
+                    stack.append(p)
+        left, size, k, lowest = len(new), len(old), 0, len(old)
+        pending: dict[str, int] = {}
+        heap = [(-rank[commit], commit)]
+        out: list[str] = []
+        while left or lowest < size - k:
+            cid = heapq.heappop(heap)[1]
+            out.append(cid)
+            if cid in new:
+                left -= 1
+            else:
+                k += 1
+                lowest = min(lowest, old[cid])
+            for p in parents[cid]:
+                n = pending.get(p)
+                if n is None:  # first touch: its children in reach(commit)
+                    n = sum(1 for ch in children[p] if ch in old or ch in new)
+                pending[p] = n - 1
+                if n == 1:
+                    heapq.heappush(heap, (-rank[p], p))
+        return out, k
+
+    def _indexed(self, t: Transaction | None) -> frozenset[str]:
+        """The files a position holding ``t`` is indexed under."""
+        if t is None or (len(t.files) > self.config.max_changeset_size
+                         and self.config.collector is Collector.SEQUENTIAL):
+            return frozenset()
+        return t.files
+
+    def _push(self, commits: Iterable[str]) -> None:
+        order, positions = self._order, self._positions
+        for cid in commits:
+            e = _entry(self.graph, cid, self.strategy)
+            t = Transaction(e.files, cid) if e else None
+            self._pos[cid] = len(order)
+            for f in self._indexed(t):
+                positions[f].append(len(order))
+            order.append(cid)
+            self._transactions.append(t)
+
+    def _pop(self, k: int) -> None:
+        for _ in range(k):
+            del self._pos[self._order.pop()]
+            for f in self._indexed(self._transactions.pop()):
+                self._positions[f].pop()
 
     def at(self, commit: str) -> None:
-        walk = self._walk
-        if walk is not None:
-            if (self.strategy is Strategy.FULL
-                    and self.graph.commits[self._commit].is_merge):
-                self._walk = None
-            elif (self._start < len(walk.entries)
-                    and walk.entries[self._start].commit_id == commit):
-                self._start += 1
-        self._commit = commit
+        """Undo splices until the walk ends at ``commit``, a chain commit
+        no newer than the one it is at."""
+        while self._order[-1] != commit:
+            pushed, removed = self._log.pop()
+            self._pop(pushed)
+            self._push(removed)
 
-    def before(self) -> tuple[_IndexedWalk, int]:
-        if self._walk is None:
-            entries = strategy_walk(self.graph, self._commit, self.strategy)
-            self._walk = _IndexedWalk(entries, self.config)
-            self._start = 1 if entries and entries[0].commit_id == self._commit else 0
-        return self._walk, self._start
+    def collect(self, files: frozenset[str]) -> list[Transaction]:
+        """``_collect(_walk_before(graph, commit, strategy), files,
+        config)`` for the commit the walk is at, read off the query
+        files' positions: up to ``max_commits`` of each below the commit's
+        own, found by bisection."""
+        config = self.config
+        take = config.max_commits
+        end = len(self._order) - 1
+        picked: set[int] = set()
+        for f in files:
+            at = self._positions.get(f)
+            if at:
+                i = bisect_left(at, end)
+                picked.update(at[max(i - take, 0):i])
+        kept = [self._transactions[i] for i in sorted(picked, reverse=True)]
+        if config.collector is Collector.SEQUENTIAL:
+            return kept[:take]
+        cap = config.max_changeset_size
+        return [t for t in kept if len(t.files) <= cap]
 
 
 def _prepare_commit(
     graph: CommitGraph,
     commit: str,
-    histories: tuple[_History, _History],
+    walks: tuple[_ChainWalk, _ChainWalk],
     config: RecommenderConfig,
 ) -> tuple[str | None, list[_CaseRow]]:
     """The first eligibility reason ``commit`` fails, or None and each of
-    its test cases with both strategies' pipeline runs.  ``histories``
-    are both strategies' walks, already moved to ``commit``.  The reasons
-    that need only the collections are decided before anything is mined,
-    and nothing is walked when the commit yields no case."""
+    its test cases with both strategies' pipeline runs.  ``walks`` are
+    both strategies' walks, already at ``commit``.  The reasons that need
+    only the collections are decided before anything is mined."""
     cases = generate_test_cases(graph, commit, config.max_changeset_size)
     if not cases:
         return _REASON_SIZE, []
-    (walk_a, start_a), (walk_b, start_b) = (h.before() for h in histories)
+    walk_a, walk_b = walks
     collected = [
-        (case, walk_a.collect(start_a, case.query),
-         walk_b.collect(start_b, case.query))
+        (case, walk_a.collect(case.query), walk_b.collect(case.query))
         for case in cases
     ]
     if all(db_a == db_b for _, db_a, db_b in collected):
         return _REASON_IDENTICAL, []
     if not any(len(db) >= _MIN_TRANSACTIONS for _, *dbs in collected for db in dbs):
         return _REASON_TOO_FEW, []
-    a, b = (h.strategy for h in histories)
+    a, b = (w.strategy for w in walks)
     rows = [
         (case, _run_pipeline(db_a, case.query, a, config),
          _run_pipeline(db_b, case.query, b, config))
@@ -187,10 +285,8 @@ def eligible(
     a, b = strategies
     if a is b:
         raise ValueError("eligibility needs two distinct strategies")
-    histories = tuple(_History(graph, s, config) for s in strategies)
-    for h in histories:
-        h.at(commit)
-    reason, _ = _prepare_commit(graph, commit, histories, config)
+    walks = tuple(_ChainWalk(graph, s, config, commit) for s in strategies)
+    reason, _ = _prepare_commit(graph, commit, walks, config)
     return (reason is None), reason
 
 
@@ -440,13 +536,13 @@ def _scored_cases(
     shorter length.
     """
     strategies = (result.strategy_a, result.strategy_b)
-    histories = tuple(_History(graph, s, config) for s in strategies)
+    walks = tuple(_ChainWalk(graph, s, config, graph.head) for s in strategies)
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
-        for h in histories:
-            h.at(commit)
+        for w in walks:
+            w.at(commit)
         try:
-            reason, rows = _prepare_commit(graph, commit, histories, config)
+            reason, rows = _prepare_commit(graph, commit, walks, config)
         except Exception as exc:  # keep going; the report names the commit
             result.errors.append((commit, f"{type(exc).__name__}: {exc}"))
             continue

@@ -8,8 +8,6 @@ covered by the query.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -129,59 +127,6 @@ def _collect(
                         break
         kept = [entries[i] for i in sorted(picked) if len(entries[i].files) <= cap]
     return [Transaction(files=e.files, source_commit=e.commit_id) for e in kept]
-
-
-class _IndexedWalk:
-    """A strategy walk indexed by file, for collecting many queries.
-
-    ``collect(start, files)`` equals ``_collect(entries[start:], files,
-    config)`` but reads only the positions of the query files: up to
-    ``max_commits`` of each, found by bisection.  The sequential index
-    leaves out oversized changesets, which that collector never takes;
-    the per-file index keeps them, since they still take a slot there.
-    Each entry's ``Transaction`` is built on first use and shared by
-    every later query.
-    """
-
-    def __init__(
-        self, entries: list[ChangesetEntry], config: RecommenderConfig
-    ) -> None:
-        self.entries = entries
-        self.config = config
-        self._transactions: list[Transaction | None] = [None] * len(entries)
-        cap = config.max_changeset_size
-        keep_oversized = config.collector is Collector.PER_FILE_SLICE
-        positions: defaultdict[str, list[int]] = defaultdict(list)
-        for i, e in enumerate(entries):
-            if keep_oversized or len(e.files) <= cap:
-                for f in e.files:
-                    positions[f].append(i)
-        self._positions = positions
-
-    def collect(self, start: int, files: frozenset[str]) -> list[Transaction]:
-        """What ``files`` collect from the entries at ``start`` onwards."""
-        config = self.config
-        take = config.max_commits
-        picked: set[int] = set()
-        for f in files:
-            at = self._positions.get(f)
-            if at:
-                i = bisect_left(at, start)
-                picked.update(at[i:i + take])
-        kept = sorted(picked)
-        if config.collector is Collector.SEQUENTIAL:
-            del kept[take:]
-        else:
-            cap = config.max_changeset_size
-            kept = [i for i in kept if len(self.entries[i].files) <= cap]
-        out: list[Transaction] = []
-        for i in kept:
-            t = self._transactions[i]
-            if t is None:
-                e = self.entries[i]
-                t = self._transactions[i] = Transaction(e.files, e.commit_id)
-            out.append(t)
-        return out
 
 
 def collect_commits(

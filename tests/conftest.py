@@ -50,10 +50,10 @@ def fail_prepare_on(monkeypatch, tag):
     """Make evaluation raise RuntimeError("boom") while preparing ``tag``."""
     real = evaluation_module._prepare_commit
 
-    def flaky(graph, commit, histories, config):
+    def flaky(graph, commit, walks, config):
         if commit == hid(tag):
             raise RuntimeError("boom")
-        return real(graph, commit, histories, config)
+        return real(graph, commit, walks, config)
 
     monkeypatch.setattr(evaluation_module, "_prepare_commit", flaky)
 

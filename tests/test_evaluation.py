@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,13 +30,14 @@ from cochange import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-from cochange.evaluation import METRICS, ExperimentResult, _History, _scored_cases
-from cochange.history import ancestors_first_parent
+import cochange.evaluation as evaluation_module
+from cochange.evaluation import METRICS, ExperimentResult, _ChainWalk, _scored_cases
+from cochange.history import ancestors_all, ancestors_first_parent
 from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
 from cochange.reporting import summarize_experiment
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit, random_dags
-from synthgen import generic_graph
+from synthgen import generic_graph, long_branch_graph, short_branch_graph
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
 
@@ -636,24 +638,23 @@ class TestChainWalkAgainstReference:
                 config = RecommenderConfig(max_changeset_size=max_size,
                                            max_commits=max_commits,
                                            collector=collector)
-                history = _History(graph, strategy, config)
+                walk = _ChainWalk(graph, strategy, config, graph.head)
                 for commit, asks in chain:
-                    history.at(commit)
-                    if not asks:  # a commit without cases builds nothing
+                    walk.at(commit)
+                    if not asks:  # a commit without cases collects nothing
                         continue
-                    walk, start = history.before()
                     reference = _walk_before(graph, commit, strategy)
                     for files in _QUERIES:
-                        assert walk.collect(start, files) == _collect(
+                        assert walk.collect(files) == _collect(
                             reference, files, config
                         )
 
-    def test_full_walk_is_rebuilt_once_per_chain_merge(self, monkeypatch):
+    def test_run_experiment_builds_no_strategy_walk(self, monkeypatch):
         #   A -- C -- M1 -- G -- M2 -- H     (first parents)
         #    \       /         /
         #     B ------     D --
         # D forks from M1.  Every stretch of the chain up to a merge
-        # starts with a two-file commit, so each one needs a walk.
+        # starts with a two-file commit, so each one collects.
         merged = {"b": (False, True), "d": (False, True)}
         graph = build_graph([
             mk_commit("A", [], 1, ["a", "b"]),
@@ -665,14 +666,103 @@ class TestChainWalkAgainstReference:
             mk_commit("M2", ["G", "D"], 7, ["b", "d"], merged),
             mk_commit("H", ["M2"], 8, ["a", "b"]),
         ], "H")
+        expected = run_experiment(graph, PAIR_NO_MERGE, RecommenderConfig(), True)
         calls = []
-        real = history_module.ancestors_all
 
-        def counted(graph, start):
+        def refused(graph, start, *strategy):
             calls.append(start)
-            return real(graph, start)
+            raise AssertionError("a whole walk was built")
 
-        monkeypatch.setattr(history_module, "ancestors_all", counted)
+        # ``cochange.recommend`` the attribute is the function
+        recommend_module = importlib.import_module("cochange.recommend")
+        for module in (history_module, recommend_module, evaluation_module):
+            for name in ("strategy_walk", "ancestors_all"):
+                monkeypatch.setattr(module, name, refused, raising=False)
         result = run_experiment(graph, PAIR_NO_MERGE, RecommenderConfig(), True)
         assert result.commits_considered == 6 and result.errors == []
-        assert calls == [hid("H"), hid("G"), hid("C")]  # 2 chain merges + 1
+        assert calls == []
+        assert result.records_a == expected.records_a
+        assert result.records_b == expected.records_b
+
+
+def _walk_orders(graph, head):
+    """Each strategy's spliced walk ending at ``head``, newest first."""
+    return {
+        s: _ChainWalk(graph, s, RecommenderConfig(), head)._order[::-1]
+        for s in Strategy
+    }
+
+
+def _reference_orders(graph, commit):
+    fp = ancestors_first_parent(graph, commit)
+    return {Strategy.FULL: ancestors_all(graph, commit),
+            Strategy.FIRST_PARENT_NO_MERGE: fp,
+            Strategy.FIRST_PARENT_MERGE: fp}
+
+
+class TestSplicedWalkOrder:
+    @settings(max_examples=300)
+    @given(graph=random_dags(), data=st.data())
+    def test_walk_is_the_ancestor_order_at_every_chain_commit(self, graph, data):
+        chain = ancestors_first_parent(graph, graph.head)
+        # forward: the splices of a walk built up to each chain commit
+        for commit in chain:
+            assert _walk_orders(graph, commit) == _reference_orders(graph, commit)
+        # backward: one walk built to the head, undone newest first
+        walks = {s: _ChainWalk(graph, s, RecommenderConfig(), graph.head)
+                 for s in Strategy}
+        for commit in chain:
+            for walk in walks.values():
+                walk.at(commit)
+                assert walk._pos == {c: i for i, c in enumerate(walk._order)}
+            assert {s: w._order[::-1] for s, w in walks.items()} == (
+                _reference_orders(graph, commit)
+            )
+        # eligible() walks only its own commit's history
+        mid = chain[len(chain) // 2]
+        built = []
+
+        class Recorded(_ChainWalk):
+            def __init__(self, graph, strategy, config, head):
+                super().__init__(graph, strategy, config, head)
+                built.append((strategy, self._order[::-1]))
+
+        strategies = tuple(data.draw(st.permutations(list(Strategy)))[:2])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation_module, "_ChainWalk", Recorded)
+            eligible(graph, mid, strategies, RecommenderConfig())
+        expected = _reference_orders(graph, mid)
+        assert built == [(s, expected[s]) for s in strategies]
+
+    def test_splice_runs_on_until_the_old_walk_lines_up(self):
+        #   B ---.
+        #         \
+        #   A ---- P ---- C      (first parents)
+        #    \           /
+        #     X --------'        X is older than B
+        # At C the old walk [P, A, B] comes out as P, B, X, A: once X, the
+        # last new commit, is out, the old ones out are P and B, not its
+        # two newest, so the splice must go on until A is out too.
+        graph = build_graph([
+            mk_commit("A", [], 5, ["a"]),
+            mk_commit("B", [], 1, ["b"]),
+            mk_commit("P", ["A", "B"], 10, ["b"], {"b": (False, True)}),
+            mk_commit("X", ["A"], 0, ["x"]),
+            mk_commit("C", ["P", "X"], 20, ["x"], {"x": (False, True)}),
+        ], "C")
+        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head)
+        assert walk._order[::-1] == ancestors_all(graph, hid("C")) == [
+            hid(t) for t in "CPBXA"
+        ]
+        assert walk._log[-1] == (5, [hid("B"), hid("A"), hid("P")])
+        walk.at(hid("P"))
+        assert walk._order[::-1] == ancestors_all(graph, hid("P"))
+
+    @pytest.mark.parametrize("graph", [
+        long_branch_graph(), short_branch_graph(), generic_graph(0, 600),
+    ], ids=["long-branches", "short-branches", "generic-600"])
+    def test_splices_emit_each_ancestor_once(self, graph):
+        # a splice that re-walks the old history would emit it again
+        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head)
+        assert walk._order[::-1] == ancestors_all(graph, graph.head)
+        assert sum(pushed for pushed, _ in walk._log) == len(walk._order)
