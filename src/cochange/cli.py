@@ -360,13 +360,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    graph = load_snapshot(args.snapshot)
     file_config = _file_config(args)
     config = _build_recommender_config(args, file_config, Collector.SEQUENTIAL)
-    at = _resolve_commit(graph, args.at)
     files = frozenset(f for f in args.files.split(",") if f)
     if not files:
         return _error("--files must name at least one file")
+    graph = load_snapshot(args.snapshot)
+    at = _resolve_commit(graph, args.at)
     query = Query(files, at)
     rec = recommend(graph, query, Strategy(args.strategy), config)
     if args.json:

@@ -9,7 +9,6 @@ test.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -18,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
-from .history import CommitGraph, Strategy, _entry, ancestors_first_parent
+from .history import CommitGraph, Strategy, _entry, _newest_first, ancestors_first_parent
 from .mining import Transaction
 from .recommend import (
     Collector,
@@ -132,55 +131,13 @@ class _ChainWalk:
         self._log: list[tuple[int, list[str]]] = []  # (pushed, removed)
         for commit in reversed(ancestors_first_parent(graph, head)):
             if strategy is Strategy.FULL:
-                new, k = self._newer(commit)
+                new, k = _newest_first(graph, [commit], self._pos)
             else:
                 new, k = [commit], 0
             removed = self._order[len(self._order) - k:]
             self._pop(k)
             self._push(reversed(new))
             self._log.append((len(new), removed))
-
-    def _newer(self, commit: str) -> tuple[list[str], int]:
-        """The first commits of ``ancestors_all(commit)``, newest first, and
-        the ``k`` such that the rest of that walk is the walk now held
-        (the first parent's) without its ``k`` newest commits.
-
-        ``_newest_first`` is Kahn's algorithm with a max-rank heap, and the
-        heap always holds the commits of the remaining set that have no
-        child in it, so the rest of a walk depends only on the remaining
-        set.  Once every commit missing from the old walk is out and the
-        old commits out are its ``k`` newest, both remaining sets are equal.
-        """
-        graph = self.graph
-        parents, children, rank = graph._parents, graph._children, graph._rank
-        old = self._pos
-        new = {commit}
-        stack = [commit]
-        while stack:
-            for p in parents[stack.pop()]:
-                if p not in old and p not in new:
-                    new.add(p)
-                    stack.append(p)
-        left, size, k, lowest = len(new), len(old), 0, len(old)
-        pending: dict[str, int] = {}
-        heap = [(-rank[commit], commit)]
-        out: list[str] = []
-        while left or lowest < size - k:
-            cid = heapq.heappop(heap)[1]
-            out.append(cid)
-            if cid in new:
-                left -= 1
-            else:
-                k += 1
-                lowest = min(lowest, old[cid])
-            for p in parents[cid]:
-                n = pending.get(p)
-                if n is None:  # first touch: its children in reach(commit)
-                    n = sum(1 for ch in children[p] if ch in old or ch in new)
-                pending[p] = n - 1
-                if n == 1:
-                    heapq.heappush(heap, (-rank[p], p))
-        return out, k
 
     def _indexed(self, t: Transaction | None) -> frozenset[str]:
         """The files a position holding ``t`` is indexed under."""

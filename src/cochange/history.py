@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 _is_commit_id = re.compile(r"[0-9a-f]{40}").fullmatch
 
@@ -206,21 +206,18 @@ class CommitGraph:
             for p in ps:
                 pending[p] += 1
         ready = [cid for cid, n in pending.items() if n == 0]
-        freed = 0
+        order: list[str] = []
         while ready:
-            freed += 1
-            for p in parents[ready.pop()]:
+            cid = ready.pop()
+            order.append(cid)
+            for p in parents[cid]:
                 pending[p] -= 1
                 if pending[p] == 0:
                     ready.append(p)
-        if freed != len(self.commits):
+        if len(order) != len(self.commits):
             raise ValueError("commit graph contains a cycle")
-
-    @cached_property
-    def _topo_newest_first(self) -> tuple[str, ...]:
-        """All commits, children before parents, ties by descending
-        (author_timestamp, id).  Deterministic."""
-        return tuple(_newest_first(self, self.commits))
+        # Every commit, children before parents, in no particular tie order.
+        object.__setattr__(self, "_children_first", order)
 
     @cached_property
     def _rank(self) -> dict[str, int]:
@@ -232,7 +229,7 @@ class CommitGraph:
     def _generation(self) -> dict[str, int]:
         """Longest distance from the roots, per commit."""
         gen: dict[str, int] = {}
-        for cid in reversed(self._topo_newest_first):
+        for cid in reversed(self._children_first):
             gen[cid] = 1 + max((gen[p] for p in self._parents[cid]), default=-1)
         return gen
 
@@ -245,12 +242,6 @@ class CommitGraph:
             else tuple(p for p in c.parents if p not in b)
             for cid, c in self.commits.items()
         }
-
-    @cached_property
-    def _entries(self) -> dict[Strategy, dict[str, ChangesetEntry | None]]:
-        """Per strategy, each commit's walk entry (None: it contributes
-        nothing), filled on first request by ``strategy_walk``."""
-        return {s: {} for s in Strategy}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -291,7 +282,7 @@ class CommitGraph:
     def _branch_table(self) -> dict[str, frozenset[str]]:
         """Every merge's ``branch_commits``, built once, parents first."""
         table: dict[str, frozenset[str]] = {}
-        for cid in reversed(self._topo_newest_first):
+        for cid in reversed(self._children_first):
             if self.commits[cid].is_merge:
                 table[cid] = _branch_of(self, cid, table)
         return table
@@ -352,27 +343,59 @@ def _branch_of(
     return frozenset(result)
 
 
-def _newest_first(graph: CommitGraph, nodes: Iterable[str]) -> list[str]:
-    """The commits of ``nodes``, children before parents, ties by
-    descending rank (Kahn's algorithm).  ``nodes`` must hold every
-    present parent of its members.  Commits on a cycle are left out."""
-    rank = graph._rank
-    parents = graph._parents
-    pending = dict.fromkeys(nodes, 0)
-    for cid in pending:
-        for p in parents[cid]:
-            pending[p] += 1
-    heap = [(-rank[cid], cid) for cid, n in pending.items() if n == 0]
+def _newest_first(
+    graph: CommitGraph, heads: Collection[str], old: Mapping[str, int] = {}
+) -> tuple[list[str], int]:
+    """The walk of every ancestor of ``heads``, spliced onto ``old``.
+
+    The walk lists children before parents, ties by descending
+    (author_timestamp, id): Kahn's algorithm with a max-rank heap.
+    ``old`` is the walk of a set of ancestors closed under parents, as
+    commit -> position, oldest at 0.  No head is in ``old`` or an
+    ancestor of another head.  Returns the first commits of the walk and
+    the ``k`` such that the rest of it is ``old`` without its ``k``
+    newest commits.  With ``old`` empty that is the whole walk and ``k``
+    is 0.
+
+    The heap always holds the commits of the remaining set that have no
+    child in it, so the rest of a walk depends only on the remaining set.
+    Once every commit missing from ``old`` is out and the old commits out
+    are its ``k`` newest, both remaining sets are equal.
+    """
+    parents, rank = graph._parents, graph._rank
+    pending: dict[str, int] = {}  # each commit's children not yet out
+    stack = list(heads)
+    left = len(stack)  # new commits not yet out
+    while stack:
+        for p in parents[stack.pop()]:
+            if p in pending:
+                pending[p] += 1
+            elif p in old:
+                pending[p] = 1 + sum(ch in old for ch in graph._children[p])
+            else:
+                pending[p] = 1
+                left += 1
+                stack.append(p)
+    heap = [(-rank[h], h) for h in heads]
     heapq.heapify(heap)
+    size, k, lowest = len(old), 0, len(old)
     out: list[str] = []
-    while heap:
+    while left or lowest < size - k:
         cid = heapq.heappop(heap)[1]
         out.append(cid)
+        if cid in old:
+            k += 1
+            lowest = min(lowest, old[cid])
+        else:
+            left -= 1
         for p in parents[cid]:
-            pending[p] -= 1
-            if pending[p] == 0:
+            n = pending.get(p)
+            if n is None:  # an old commit with no new child
+                n = sum(ch in old for ch in graph._children[p])
+            pending[p] = n - 1
+            if n == 1:
                 heapq.heappush(heap, (-rank[p], p))
-    return out
+    return out, k
 
 
 def ancestors_first_parent(graph: CommitGraph, start: str) -> list[str]:
@@ -393,7 +416,7 @@ def ancestors_all(graph: CommitGraph, start: str) -> list[str]:
     descending author timestamp, then descending id.
     """
     graph.commit(start)
-    return _newest_first(graph, _reachable(graph, start))
+    return _newest_first(graph, [start])[0]
 
 
 def _merge_commit(graph: CommitGraph, merge: str, caller: str) -> Commit:
@@ -420,18 +443,14 @@ def strategy_walk(
     """Changeset stream for ``strategy`` starting at ``start`` (inclusive).
 
     Empty changesets never produce entries.  Walk order matches the
-    underlying ancestor enumeration.  Each commit's entry is built once
-    per graph and strategy and shared by every walk that reaches it.
+    underlying ancestor enumeration.
     """
     if strategy is Strategy.FULL:
         order = ancestors_all(graph, start)
     else:
         order = ancestors_first_parent(graph, start)
-    memo = graph._entries[strategy]
-    for cid in order:
-        if cid not in memo:
-            memo[cid] = _entry(graph, cid, strategy)
-    return [e for e in map(memo.__getitem__, order) if e is not None]
+    entries = (_entry(graph, cid, strategy) for cid in order)
+    return [e for e in entries if e is not None]
 
 
 def _entry(

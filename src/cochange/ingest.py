@@ -14,7 +14,7 @@ import subprocess
 from itertools import repeat
 from pathlib import Path
 
-from .history import Commit, CommitGraph, validate_commit_id
+from .history import Commit, CommitGraph, _newest_first, validate_commit_id
 
 FORMAT_VERSION = 1
 
@@ -32,35 +32,31 @@ class IngestError(RuntimeError):
     """Reading a git repository failed."""
 
 
+# ``json.dumps`` with separators builds a new encoder on every call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def save_snapshot(graph: CommitGraph, path: str | Path) -> None:
     """Write ``graph`` to ``path``; topological order, stable key order."""
     lines = [
-        json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "repo_label": graph.label,
-                "head": graph.head,
-                "boundaries": sorted(graph.boundaries),
-            },
-            separators=(",", ":"),
-        )
+        _encode({
+            "format_version": FORMAT_VERSION,
+            "repo_label": graph.label,
+            "head": graph.head,
+            "boundaries": sorted(graph.boundaries),
+        })
     ]
-    for cid in reversed(graph._topo_newest_first):
+    parented = {p for ps in graph._parents.values() for p in ps}
+    tips = [cid for cid in graph.commits if cid not in parented]
+    for cid in reversed(_newest_first(graph, tips)[0]):
         c = graph.commits[cid]
-        lines.append(
-            json.dumps(
-                {
-                    "id": c.id,
-                    "parents": list(c.parents),
-                    "ts": c.author_timestamp,
-                    "files": sorted(c.changeset),
-                    "merge_eq": {
-                        f: list(c.merge_eq[f]) for f in sorted(c.merge_eq or {})
-                    },
-                },
-                separators=(",", ":"),
-            )
-        )
+        lines.append(_encode({
+            "id": c.id,
+            "parents": list(c.parents),
+            "ts": c.author_timestamp,
+            "files": sorted(c.changeset),
+            "merge_eq": {f: list(c.merge_eq[f]) for f in sorted(c.merge_eq or {})},
+        }))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -77,6 +77,33 @@ def random_dags(draw):
     return build_graph(commits, f"n{len(commits) - 1}", boundaries)
 
 
+def reference_newest_first(graph, nodes):
+    """Repeatedly emit the greatest (author_timestamp, id) commit of
+    ``nodes`` whose children inside ``nodes`` have all been emitted."""
+    left = set(nodes)
+    out = []
+    while left:
+        ready = [
+            c for c in left
+            if not any(c in graph.commits[k].parents for k in left)
+        ]
+        cid = max(ready, key=lambda c: (graph.commits[c].author_timestamp, c))
+        out.append(cid)
+        left.remove(cid)
+    return out
+
+
+def reference_reachable(graph, start):
+    reach = {start}
+    while True:
+        more = {
+            p for c in reach for p in graph.commits[c].parents if p in graph.commits
+        } - reach
+        if not more:
+            return reach
+        reach |= more
+
+
 @pytest.fixture
 def merge_graph():
     """One feature branch merged cleanly back into the mainline.

@@ -251,6 +251,14 @@ class TestRecommend:
         )
         assert code == 1
 
+    def test_empty_files_is_refused_before_loading(self, tmp_path, capsys):
+        code = main(
+            ["recommend", "--snapshot", str(tmp_path / "missing.jsonl"),
+             "--strategy", "full", "--at", hid("T"), "--files", ","]
+        )
+        assert code == 1
+        assert "--files must name at least one file" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def run_eval(self, snap, out, *extra):

@@ -36,7 +36,15 @@ from cochange.history import ancestors_all, ancestors_first_parent
 from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
 from cochange.reporting import summarize_experiment
 
-from conftest import build_graph, fail_prepare_on, hid, mk_commit, random_dags
+from conftest import (
+    build_graph,
+    fail_prepare_on,
+    hid,
+    mk_commit,
+    random_dags,
+    reference_newest_first,
+    reference_reachable,
+)
 from synthgen import generic_graph, long_branch_graph, short_branch_graph
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
@@ -695,7 +703,8 @@ def _walk_orders(graph, head):
 
 def _reference_orders(graph, commit):
     fp = ancestors_first_parent(graph, commit)
-    return {Strategy.FULL: ancestors_all(graph, commit),
+    full = reference_newest_first(graph, reference_reachable(graph, commit))
+    return {Strategy.FULL: full,
             Strategy.FIRST_PARENT_NO_MERGE: fp,
             Strategy.FIRST_PARENT_MERGE: fp}
 

@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +17,7 @@ from cochange import (
     branch_length,
     merge_base,
     merge_commit_size,
+    save_snapshot,
     strategy_walk,
 )
 from cochange.history import (
@@ -23,7 +28,15 @@ from cochange.history import (
     validate_file_path,
 )
 
-from conftest import build_graph, hid, mk_commit, names_of, random_dags
+from conftest import (
+    build_graph,
+    hid,
+    mk_commit,
+    names_of,
+    random_dags,
+    reference_newest_first,
+    reference_reachable,
+)
 from synthgen import generic_graph
 
 
@@ -160,7 +173,7 @@ class TestValidation:
         graph = build_graph(
             [mk_commit("A", [], 1, ["a"]), mk_commit("B", ["A"], 2, ["b"])], "B"
         )
-        assert "_topo_newest_first" not in vars(graph)
+        assert "_rank" not in vars(graph)
 
     @pytest.mark.parametrize("where", ["id", "parent", "boundary"])
     def test_trailing_newline_is_not_a_commit_id(self, where):
@@ -331,40 +344,29 @@ class TestTraversal:
         assert _reachable(g, hid("C")) == {hid("C"), hid("B")}
 
 
-def reference_newest_first(graph, nodes):
-    """Repeatedly emit the greatest (author_timestamp, id) commit of
-    ``nodes`` whose children inside ``nodes`` have all been emitted."""
-    left = set(nodes)
-    out = []
-    while left:
-        ready = [
-            c for c in left
-            if not any(c in graph.commits[k].parents for k in left)
-        ]
-        cid = max(ready, key=lambda c: (graph.commits[c].author_timestamp, c))
-        out.append(cid)
-        left.remove(cid)
-    return out
-
-
-def reference_reachable(graph, start):
-    reach = {start}
-    while True:
-        more = {
-            p for c in reach for p in graph.commits[c].parents if p in graph.commits
-        } - reach
-        if not more:
-            return reach
-        reach |= more
+def longest_path_from_roots(graph, cid):
+    """Edges on the longest parent path from ``cid`` down to a root,
+    trying every path."""
+    return max(
+        (1 + longest_path_from_roots(graph, p)
+         for p in graph.commits[cid].parents if p in graph.commits),
+        default=0,
+    )
 
 
 class TestWalkOrderAgainstReference:
     @settings(max_examples=300)
     @given(graph=random_dags())
     def test_topological_orders_match_reference(self, graph):
-        assert list(graph._topo_newest_first) == reference_newest_first(
-            graph, graph.commits
+        with tempfile.TemporaryDirectory() as tmp:
+            save_snapshot(graph, Path(tmp) / "s.jsonl")
+            lines = (Path(tmp) / "s.jsonl").read_text().splitlines()[1:]
+        assert [json.loads(line)["id"] for line in lines] == (
+            reference_newest_first(graph, graph.commits)[::-1]
         )
+        assert graph._generation == {
+            cid: longest_path_from_roots(graph, cid) for cid in graph.commits
+        }
         for start in graph.commits:
             assert ancestors_all(graph, start) == reference_newest_first(
                 graph, reference_reachable(graph, start)
@@ -436,7 +438,7 @@ class TestWalkMemoAgainstReference:
     @given(data=st.data())
     def test_memoised_walks_match_reference_and_fresh_graph(self, data):
         graph = data.draw(dags_with_merge_diffs())
-        # visiting starts in random order warms the memo from other starts
+        # starts come in random order: no walk may hang on the walks before it
         visits = data.draw(st.permutations(
             [(s, cid) for s in Strategy for cid in sorted(graph.commits)]
         ))
@@ -464,16 +466,6 @@ class TestWalkMemoAgainstReference:
             assert strategy_walk(g, hid("T"), strategy) == reference_walk(
                 g, hid("T"), strategy
             )
-
-    def test_each_entry_is_built_once_per_strategy(self):
-        g = generic_graph(seed=5, n_commits=80)
-        chain = ancestors_first_parent(g, g.head)
-        first = {
-            e.commit_id: e for e in strategy_walk(g, g.head, Strategy.FULL)
-        }
-        for start in chain[1:]:
-            for e in strategy_walk(g, start, Strategy.FULL):
-                assert e is first[e.commit_id]
 
 
 class TestAdditionalChanges:
