@@ -513,7 +513,7 @@ def _scored_cases(
                 recs = _fair_pair(*recs)
             record_a, record_b = (
                 EvaluationRecord(case, strategy, *classify(rec, case),
-                                 len(rec.entries), len(run.rules))
+                                 len(rec.entries), run.n_rules)
                 for strategy, rec, run in zip(strategies, recs, (run_a, run_b))
             )
             verdict = pairwise_verdict(record_a, record_b)

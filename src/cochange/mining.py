@@ -4,12 +4,15 @@ Transactions are sets of file paths extracted from history; rules are
 scored with exact rational support and confidence.  Floats never enter
 the mining path.
 
-The recommendation pipeline mines and ranks in one integer pass,
-``top_rules``: vertical bitmask counts, thresholds compared as integer
-cross-products, and a top-k pick on integer keys, so a ``Fraction`` is
-built only for the rules it returns.  ``apriori`` (level-wise, with
-candidate pruning), and ``single_consequent_rules`` followed by
-``filter_rules``, are the straightforward reference it is tested against.
+Mining and ranking are one integer pass, ``_ranked``: vertical bitmask
+counts, thresholds compared as integer cross-products, and a top-k pick
+on integer rank keys.  It trusts its thresholds: ``top_rules`` validates
+them first, and the recommendation pipeline passes those of a
+``RecommenderConfig``, validated when it was built.  ``top_rules`` builds
+a ``Fraction`` rule for each key it returns, the pipeline only for a rule
+that fires.  ``apriori`` (level-wise, with candidate pruning), and
+``single_consequent_rules`` followed by ``filter_rules``, are the
+straightforward reference it is tested against.
 """
 
 from __future__ import annotations
@@ -241,21 +244,22 @@ def filter_rules(
     return kept[:max_rules]
 
 
-def top_rules(
-    db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
-) -> tuple[int, list[AssociationRule]]:
-    """The number of single-consequent rules, and the best ``max_rules``.
+# (-c_all, c_x, len(x), x, item): rule x -> {item} of count c_all
+_RankKey = tuple[int, int, int, tuple[str, ...], str]
 
-    Equal to ``(len(raw), filter_rules(raw, max_rules))`` with
-    ``raw = single_consequent_rules(db, minsup, minconf)``, computed on
-    integers.  Each file's transactions are one bitmask, so an itemset's
-    count is the popcount of its prefix's mask ANDed with its last file's
-    mask (Eclat's vertical tidsets).  With n fixed, support c_all/n and confidence
-    c_all/c_x rank exactly as the key (-c_all, c_x, len(x), x, item).
+
+def _ranked(
+    db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
+) -> tuple[int, list[_RankKey]]:
+    """The number of single-consequent rules, and the rank keys
+    ``(-c_all, c_x, len(x), x, item)`` of the best ``max_rules``, best
+    first, for thresholds already validated; an empty ``db`` has none.
+
+    Each file's transactions are one bitmask, so an itemset's count is
+    the popcount of its prefix's mask ANDed with its last file's mask
+    (Eclat's vertical tidsets).  With n fixed, support c_all/n and
+    confidence c_all/c_x rank exactly as the key.
     """
-    minsup, minconf = _mining_input(db, minsup, minconf)
-    if max_rules < 1:
-        raise ValueError("max_rules must be positive")
     n = len(db)
     sup_den, sup_need = minsup.denominator, minsup.numerator * n
     conf_den, conf_num = minconf.denominator, minconf.numerator
@@ -282,7 +286,7 @@ def top_rules(
         for i, (f, mask) in enumerate(frequent):
             stack.append((prefix + (f,), mask, frequent[i + 1:]))
 
-    keys = []
+    keys: list[_RankKey] = []
     for itemset, c_all in counts.items():
         if len(itemset) < 2:
             continue
@@ -291,10 +295,29 @@ def top_rules(
             c_x = counts[x]
             if c_all * conf_den >= conf_num * c_x:
                 keys.append((-c_all, c_x, len(x), x, item))
-    best = heapq.nsmallest(max_rules, keys)
-    return len(keys), [
-        AssociationRule(
-            frozenset(x), frozenset((item,)), Fraction(-neg, n), Fraction(-neg, c_x)
-        )
-        for neg, c_x, _, x, item in best
-    ]
+    return len(keys), heapq.nsmallest(max_rules, keys)
+
+
+def _rule(n: int, key: _RankKey) -> AssociationRule:
+    """The rule a ``_ranked`` key stands for, over ``n`` transactions."""
+    neg, c_x, _, x, item = key
+    return AssociationRule(
+        frozenset(x), frozenset((item,)), Fraction(-neg, n), Fraction(-neg, c_x)
+    )
+
+
+def top_rules(
+    db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
+) -> tuple[int, list[AssociationRule]]:
+    """The number of single-consequent rules, and the best ``max_rules``.
+
+    Equal to ``(len(raw), filter_rules(raw, max_rules))`` with
+    ``raw = single_consequent_rules(db, minsup, minconf)``, ranked on
+    integers by ``_ranked``; a ``Fraction`` is built only for the rules
+    returned.
+    """
+    minsup, minconf = _mining_input(db, minsup, minconf)
+    if max_rules < 1:
+        raise ValueError("max_rules must be positive")
+    n_raw, best = _ranked(db, minsup, minconf, max_rules)
+    return n_raw, [_rule(len(db), key) for key in best]

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .history import ChangesetEntry, CommitGraph, Strategy, strategy_walk
-from .mining import AssociationRule, Transaction, _validate_threshold, top_rules
+from .mining import AssociationRule, Transaction, _ranked, _rule, _validate_threshold
 
 
 class Collector(Enum):
@@ -85,10 +85,12 @@ class PipelineRun:
     """Everything one recommend() call produced, for callers that need
     the intermediate stages (evaluation, diagnostics).  ``n_raw_rules``
     counts the mined single-consequent rules before ranking and
-    truncation."""
+    truncation, ``n_rules`` the ranked rules kept (at most
+    ``max_rules``); only the rules that fired are built, as the entries'
+    ``via_rule``."""
 
     db: list[Transaction]
-    rules: list[AssociationRule]
+    n_rules: int
     n_raw_rules: int
     recommendation: Recommendation
 
@@ -146,24 +148,21 @@ def _run_pipeline(
     strategy: Strategy,
     config: RecommenderConfig,
 ) -> PipelineRun:
-    """Mine and rank ``db``, the transactions collected for query ``files``."""
-    if db:
-        n_raw, rules = top_rules(
-            db, config.minsup, config.minconf, config.max_rules
-        )
-    else:
-        n_raw, rules = 0, []
+    """Mine and rank ``db``, the transactions collected for query ``files``.
+
+    Ranking runs on integer keys; a rule is built only when it fires:
+    its antecedent lies within ``files`` and its consequent is new.
+    ``config``'s thresholds were validated when it was built."""
+    n_raw, best = _ranked(db, config.minsup, config.minconf, config.max_rules)
     picked: list[RecommendationEntry] = []
     seen: set[str] = set()
-    for rule in rules:
-        if rule.antecedent <= files:
-            (consequent,) = rule.consequent
-            if consequent not in seen:
-                seen.add(consequent)
-                picked.append(
-                    RecommendationEntry(consequent, rule.support, rule)
-                )
-    return PipelineRun(db, rules, n_raw, Recommendation(tuple(picked), strategy))
+    for key in best:
+        x, item = key[3], key[4]
+        if item not in seen and files.issuperset(x):
+            seen.add(item)
+            rule = _rule(len(db), key)
+            picked.append(RecommendationEntry(item, rule.support, rule))
+    return PipelineRun(db, len(best), n_raw, Recommendation(tuple(picked), strategy))
 
 
 def recommend(

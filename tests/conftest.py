@@ -1,13 +1,15 @@
-"""Shared fixtures: deterministic ids, tiny hand-built graphs, git helpers."""
+"""Shared fixtures: deterministic ids, tiny hand-built graphs, transaction
+databases, git helpers."""
 
 import hashlib
 import subprocess
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings, strategies as st
 
 import cochange.evaluation as evaluation_module
-from cochange import Commit, CommitGraph
+from cochange import Commit, CommitGraph, Transaction
 
 
 # Property tests are deterministic and keep no example database, so a
@@ -56,6 +58,34 @@ def fail_prepare_on(monkeypatch, tag):
         return real(graph, commit, walks, config)
 
     monkeypatch.setattr(evaluation_module, "_prepare_commit", flaky)
+
+
+def tx(*filesets):
+    return [
+        Transaction(frozenset(fs), hid(f"t{i}")) for i, fs in enumerate(filesets)
+    ]
+
+
+@st.composite
+def databases(draw):
+    """1-14 transactions over at most 9 files, drawn from a small pool of
+    distinct changesets so identical transactions (and rank ties) recur."""
+    files = "abcdefghi"[: draw(st.integers(1, 9))]
+    pool = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(files), min_size=1),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    return tx(*picks)
+
+
+@st.composite
+def thresholds(draw):
+    den = draw(st.one_of(st.integers(1, 20), st.integers(10**6, 10**12)))
+    return Fraction(draw(st.integers(1, den)), den)
 
 
 @st.composite

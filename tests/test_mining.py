@@ -17,13 +17,7 @@ from cochange import (
 )
 from cochange.mining import top_rules
 
-from conftest import hid
-
-
-def tx(*filesets):
-    return [
-        Transaction(frozenset(fs), hid(f"t{i}")) for i, fs in enumerate(filesets)
-    ]
+from conftest import databases, hid, thresholds, tx
 
 
 FIVE = tx({"x", "y"}, {"x", "y"}, {"x", "y", "z"}, {"x"}, {"w"})
@@ -291,28 +285,6 @@ class TestFilterRules:
 def reference_top_rules(db, minsup, minconf, max_rules):
     raw = single_consequent_rules(db, minsup, minconf)
     return len(raw), filter_rules(raw, max_rules)
-
-
-@st.composite
-def databases(draw):
-    """1-14 transactions over at most 9 files, drawn from a small pool of
-    distinct changesets so identical transactions (and rank ties) recur."""
-    files = "abcdefghi"[: draw(st.integers(1, 9))]
-    pool = draw(
-        st.lists(
-            st.frozensets(st.sampled_from(files), min_size=1),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
-    return tx(*picks)
-
-
-@st.composite
-def thresholds(draw):
-    den = draw(st.one_of(st.integers(1, 20), st.integers(10**6, 10**12)))
-    return Fraction(draw(st.integers(1, den)), den)
 
 
 class TestTopRules:

@@ -1,6 +1,8 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cochange import (
     Collector,
@@ -8,11 +10,15 @@ from cochange import (
     RecommenderConfig,
     Strategy,
     collect_commits,
+    filter_rules,
     paired_recommend,
     recommend,
+    single_consequent_rules,
 )
+from cochange.mining import top_rules
+from cochange.recommend import _run_pipeline
 
-from conftest import build_graph, hid, mk_commit
+from conftest import build_graph, databases, hid, mk_commit, thresholds, tx
 
 
 def chain_graph(changesets):
@@ -263,6 +269,74 @@ class TestRecommend:
         )
         assert rec.entries == ()
         assert rec.strategy is Strategy.FULL
+
+
+def reference_pipeline(db, files, config):
+    """Every single-consequent rule built, ranked and cut, then the first
+    covered rule per consequent: ``(n_raw_rules, n_rules, entries)``."""
+    raw = single_consequent_rules(db, config.minsup, config.minconf) if db else []
+    rules = filter_rules(raw, config.max_rules)
+    entries, seen = [], set()
+    for rule in rules:
+        if rule.antecedent <= files:
+            (consequent,) = rule.consequent
+            if consequent not in seen:
+                seen.add(consequent)
+                entries.append((consequent, rule.support, rule))
+    return len(raw), len(rules), entries
+
+
+class TestPipelineAgainstReference:
+    @settings(max_examples=300)
+    @given(
+        db=st.one_of(st.just([]), databases()),
+        files=st.frozensets(st.sampled_from("abcdefghij"), min_size=1),
+        minsup=st.one_of(st.just(Fraction(1)), thresholds()),
+        minconf=st.one_of(st.just(Fraction(1)), thresholds()),
+        max_rules=st.one_of(st.just(1), st.integers(1, 40)),
+    )
+    def test_matches_building_every_rule(self, db, files, minsup, minconf, max_rules):
+        config = RecommenderConfig(minsup=minsup, minconf=minconf, max_rules=max_rules)
+        run = _run_pipeline(db, files, Strategy.FULL, config)
+        n_raw, n_rules, entries = reference_pipeline(db, files, config)
+        assert (run.n_raw_rules, run.n_rules) == (n_raw, n_rules)
+        assert [
+            (e.file, e.score, e.via_rule) for e in run.recommendation.entries
+        ] == entries
+        assert run.db is db
+        assert run.recommendation.strategy is Strategy.FULL
+
+
+class TestThresholdsStayGuarded:
+    """The pipeline ranks on a config's thresholds without re-validating
+    them, so every way to make a config, or to mine, must still check."""
+
+    @pytest.mark.parametrize("field", ["minsup", "minconf"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(0.5, "must be exact"), (True, "must be exact"),
+         (Fraction(0), r"must be in \(0, 1\]"),
+         (Fraction(3, 2), r"must be in \(0, 1\]")],
+    )
+    def test_replace_revalidates(self, field, value, message):
+        with pytest.raises(ValueError, match=f"{field} {message}"):
+            dataclasses.replace(RecommenderConfig(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "minsup, minconf, message",
+        [
+            (0.5, Fraction(1, 2),
+             "minsup must be exact (a Fraction, an int or a decimal string), "
+             "not float: 0.5"),
+            (Fraction(1, 2), True,
+             "minconf must be exact (a Fraction, an int or a decimal string), "
+             "not bool: True"),
+        ],
+    )
+    def test_top_rules_rejects_inexact(self, minsup, minconf, message):
+        with pytest.raises(ValueError) as excinfo:
+            top_rules(tx({"a", "b"}), minsup, minconf, 10)
+        assert str(excinfo.value) == message
 
 
 class TestPairedRecommend:
