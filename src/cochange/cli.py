@@ -271,6 +271,8 @@ def _build_recommender_config(
 
 
 def _resolve_out_dir(args, file_config: dict) -> Path:
+    """``--out``, then the environment, then ``output_dir``; the caller
+    creates it once the snapshot has loaded."""
     out = getattr(args, "out", None)
     if out is None:
         out = os.environ.get(OUTPUT_DIR_ENV)
@@ -283,9 +285,7 @@ def _resolve_out_dir(args, file_config: dict) -> Path:
             "no output directory: pass --out, set "
             f"{OUTPUT_DIR_ENV}, or put output_dir in the config file"
         ))
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _error(message: str, code: int = 1) -> int:
@@ -434,8 +434,9 @@ def _pair_settings(
 def _cmd_evaluate(args) -> int:
     file_config = _file_config(args)
     strategies, config, fairness = _pair_settings(args, file_config)
-    graph = load_snapshot(args.snapshot)
     out_dir = _resolve_out_dir(args, file_config)
+    graph = load_snapshot(args.snapshot)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(graph, strategies, config, fairness, graph.label)
     write_records_csv(result, out_dir / "records.csv")
     summary = summarize_experiment(result)
@@ -450,8 +451,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze_branches(args) -> int:
     file_config = _file_config(args)
     strategies, config, fairness = _pair_settings(args, file_config)
-    graph = load_snapshot(args.snapshot)
     out_dir = _resolve_out_dir(args, file_config)
+    graph = load_snapshot(args.snapshot)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # One constant-size row per case, in case order (winner_rate_table
     # breaks ties by position): first-parent collection size, diagnosis
     # (None for equal collections), verdict.  The collections themselves
@@ -522,9 +524,9 @@ def _cmd_analyze_branches(args) -> int:
 
 
 def _cmd_analyze_cochange(args) -> int:
+    out_dir = _resolve_out_dir(args, _file_config(args))
     graph = load_snapshot(args.snapshot)
-    file_config = _file_config(args)
-    out_dir = _resolve_out_dir(args, file_config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     records, diagnostics = cochange_study(graph, args.horizon)
     summary = precision_summary(records, diagnostics, args.horizon)
     write_precision_csv(records, out_dir / "precision.csv")
@@ -539,9 +541,9 @@ def _cmd_analyze_cochange(args) -> int:
 
 
 def _cmd_sample_merges(args) -> int:
+    out_dir = _resolve_out_dir(args, _file_config(args))
     graph = load_snapshot(args.snapshot)
-    file_config = _file_config(args)
-    out_dir = _resolve_out_dir(args, file_config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sampled = sample_heavy_merges(graph, args.min_added, args.n, args.seed)
     rows = []
     for cid in sampled:

@@ -220,7 +220,7 @@ def _prepare_commit(
          _run_pipeline(db_b, case.query, b, config))
         for case, db_a, db_b in collected
     ]
-    if not any(run.n_raw_rules for _, *runs in rows for run in runs):
+    if not any(run.n_rules for _, *runs in rows for run in runs):
         return _REASON_NO_RULES, []
     return None, rows
 

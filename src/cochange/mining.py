@@ -6,11 +6,10 @@ the mining path.
 
 Mining and ranking are one integer pass, ``_ranked``: vertical bitmask
 counts, thresholds compared as integer cross-products, and a top-k pick
-on integer rank keys.  It trusts its thresholds: ``top_rules`` validates
-them first, and the recommendation pipeline passes those of a
-``RecommenderConfig``, validated when it was built.  ``top_rules`` builds
-a ``Fraction`` rule for each key it returns, the pipeline only for a rule
-that fires.  ``apriori`` (level-wise, with candidate pruning), and
+on integer rank keys.  It trusts its thresholds: the recommendation
+pipeline passes those of a ``RecommenderConfig``, validated when it was
+built, and builds a ``Fraction`` rule (``_rule``) only for a key whose
+rule fires.  ``apriori`` (level-wise, with candidate pruning), and
 ``single_consequent_rules`` followed by ``filter_rules``, are the
 straightforward reference it is tested against.
 """
@@ -250,10 +249,11 @@ _RankKey = tuple[int, int, int, tuple[str, ...], str]
 
 def _ranked(
     db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
-) -> tuple[int, list[_RankKey]]:
-    """The number of single-consequent rules, and the rank keys
-    ``(-c_all, c_x, len(x), x, item)`` of the best ``max_rules``, best
-    first, for thresholds already validated; an empty ``db`` has none.
+) -> list[_RankKey]:
+    """The rank keys ``(-c_all, c_x, len(x), x, item)`` of the best
+    ``max_rules`` single-consequent rules, best first, for thresholds
+    already validated; an empty ``db`` has none.  Built as rules by
+    ``_rule``, they equal ``filter_rules(single_consequent_rules(...))``.
 
     Each file's transactions are one bitmask, so an itemset's count is
     the popcount of its prefix's mask ANDed with its last file's mask
@@ -295,7 +295,7 @@ def _ranked(
             c_x = counts[x]
             if c_all * conf_den >= conf_num * c_x:
                 keys.append((-c_all, c_x, len(x), x, item))
-    return len(keys), heapq.nsmallest(max_rules, keys)
+    return heapq.nsmallest(max_rules, keys)
 
 
 def _rule(n: int, key: _RankKey) -> AssociationRule:
@@ -305,19 +305,3 @@ def _rule(n: int, key: _RankKey) -> AssociationRule:
         frozenset(x), frozenset((item,)), Fraction(-neg, n), Fraction(-neg, c_x)
     )
 
-
-def top_rules(
-    db: Sequence[Transaction], minsup: Fraction, minconf: Fraction, max_rules: int
-) -> tuple[int, list[AssociationRule]]:
-    """The number of single-consequent rules, and the best ``max_rules``.
-
-    Equal to ``(len(raw), filter_rules(raw, max_rules))`` with
-    ``raw = single_consequent_rules(db, minsup, minconf)``, ranked on
-    integers by ``_ranked``; a ``Fraction`` is built only for the rules
-    returned.
-    """
-    minsup, minconf = _mining_input(db, minsup, minconf)
-    if max_rules < 1:
-        raise ValueError("max_rules must be positive")
-    n_raw, best = _ranked(db, minsup, minconf, max_rules)
-    return n_raw, [_rule(len(db), key) for key in best]

@@ -83,15 +83,13 @@ class Recommendation:
 @dataclass
 class PipelineRun:
     """Everything one recommend() call produced, for callers that need
-    the intermediate stages (evaluation, diagnostics).  ``n_raw_rules``
-    counts the mined single-consequent rules before ranking and
-    truncation, ``n_rules`` the ranked rules kept (at most
-    ``max_rules``); only the rules that fired are built, as the entries'
-    ``via_rule``."""
+    the intermediate stages (evaluation, diagnostics).  ``n_rules``
+    counts the ranked rules kept (at most ``max_rules``), so it is 0
+    exactly when no rule was mined; only the rules that fired are
+    built, as the entries' ``via_rule``."""
 
     db: list[Transaction]
     n_rules: int
-    n_raw_rules: int
     recommendation: Recommendation
 
 
@@ -153,7 +151,7 @@ def _run_pipeline(
     Ranking runs on integer keys; a rule is built only when it fires:
     its antecedent lies within ``files`` and its consequent is new.
     ``config``'s thresholds were validated when it was built."""
-    n_raw, best = _ranked(db, config.minsup, config.minconf, config.max_rules)
+    best = _ranked(db, config.minsup, config.minconf, config.max_rules)
     picked: list[RecommendationEntry] = []
     seen: set[str] = set()
     for key in best:
@@ -162,7 +160,7 @@ def _run_pipeline(
             seen.add(item)
             rule = _rule(len(db), key)
             picked.append(RecommendationEntry(item, rule.support, rule))
-    return PipelineRun(db, len(best), n_raw, Recommendation(tuple(picked), strategy))
+    return PipelineRun(db, len(best), Recommendation(tuple(picked), strategy))
 
 
 def recommend(

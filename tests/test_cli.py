@@ -418,11 +418,30 @@ class TestEvaluate:
 
 class TestOutputDirResolution:
     ARGS = ["evaluate", "--pair", "full,fp-no-merge"]
+    WRITING = [["evaluate", "--pair", "full,fp-merge"], ["analyze-branches"],
+               ["analyze-cochange"], ["sample-merges"]]
 
     def test_no_output_dir_is_usage_error(self, tmp_path, capsys):
         snap = snap_of(branchy_graph(), tmp_path)
         assert main([*self.ARGS, "--snapshot", snap]) == 1
         assert OUTPUT_DIR_ENV in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", WRITING, ids=lambda argv: argv[0])
+    def test_no_output_dir_is_refused_before_the_snapshot_is_read(
+        self, tmp_path, capsys, argv
+    ):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main([*argv, "--snapshot", missing]) == 1
+        assert "no output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", WRITING, ids=lambda argv: argv[0])
+    def test_bad_snapshot_creates_no_output_dir(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{}\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--snapshot", str(bad), "--out", str(out)]) == 2
+        assert "cochange: error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_supplies_output_dir(self, tmp_path, monkeypatch):
         snap = snap_of(branchy_graph(), tmp_path)

@@ -28,6 +28,7 @@ from cochange import (
     pairwise_verdict,
     repo_level_winner,
     run_experiment,
+    single_consequent_rules,
     wilcoxon_signed_rank,
 )
 import cochange.evaluation as evaluation_module
@@ -557,7 +558,10 @@ def mine_first(graph, commit, strategies, config):
         return "identical changesets", []
     if not any(len(run.db) >= 5 for run in runs):
         return "fewer than five changesets", []
-    if not any(run.n_raw_rules for run in runs):
+    if not any(
+        single_consequent_rules(run.db, config.minsup, config.minconf)
+        for run in runs if run.db
+    ):
         return "no association rules generated", []
     return None, rows
 
