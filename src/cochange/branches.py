@@ -21,7 +21,6 @@ from .history import (
     _merge_commit,
     ancestors_first_parent,
     branch_commits,
-    branch_length,
     merge_commit_size,
 )
 from .evaluation import PairedVerdict, TestCase
@@ -88,7 +87,8 @@ def diagnose_causes(
     ids_a = {t.source_commit for t in db_a}
     ids_b = {t.source_commit for t in db_b}
     owners = graph._branch_owners
-    hits = (ids_a | ids_b) & graph._branch_table.keys()
+    table = graph._branch_table
+    hits = (ids_a | ids_b) & table.keys()
     for cid in ids_a:
         hits |= owners.get(cid, frozenset())
     spans = graph._first_parent_spans
@@ -103,8 +103,9 @@ def diagnose_causes(
     return CausalDiagnosis(
         test_case=test_case,
         causing_merges=frozenset(causes),
-        max_branch_length=max(branch_length(graph, m) for m in causes),
-        max_merge_size=max(merge_commit_size(graph, m) for m in causes),
+        # every cause is a merge, a key of the branch table
+        max_branch_length=max(len(table[m]) for m in causes),
+        max_merge_size=max(len(graph.commits[m].changeset) for m in causes),
     )
 
 

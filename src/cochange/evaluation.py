@@ -24,7 +24,6 @@ from .recommend import (
     PipelineRun,
     Recommendation,
     RecommenderConfig,
-    _fair_pair,
     _run_pipeline,
 )
 
@@ -255,15 +254,20 @@ def classify(
     Recommended files that are part of the query are stripped before
     ranking.
     """
-    effective = [
-        e for e in recommendation.entries if e.file not in test_case.query
-    ]
-    if not effective:
-        return Outcome.NO_PREDICTION, None, Fraction(0)
-    for rank, entry in enumerate(effective, start=1):
-        if entry.file == test_case.oracle:
-            return Outcome.SUCCESS, rank, Fraction(1, rank)
-    return Outcome.FAILURE, None, Fraction(0)
+    return _classify((e.file for e in recommendation.entries), test_case)
+
+
+def _classify(
+    files: Iterable[str], test_case: TestCase
+) -> tuple[Outcome, int | None, Fraction]:
+    """``classify`` for the recommended ``files``, best first."""
+    rank = 0
+    for f in files:
+        if f not in test_case.query:
+            rank += 1
+            if f == test_case.oracle:
+                return Outcome.SUCCESS, rank, Fraction(1, rank)
+    return (Outcome.FAILURE if rank else Outcome.NO_PREDICTION), None, Fraction(0)
 
 
 def aggregate_rates(
@@ -480,6 +484,13 @@ class ExperimentResult:
         return len(self.verdicts)
 
 
+def _record(case: TestCase, run: PipelineRun, cut: int | None) -> EvaluationRecord:
+    """``run``'s record for ``case``, on its first ``cut`` fired files."""
+    files = run.fired_files[:cut]
+    return EvaluationRecord(case, run.strategy, *_classify(files, case),
+                            len(files), run.n_rules)
+
+
 def _scored_cases(
     graph: CommitGraph, config: RecommenderConfig, result: ExperimentResult
 ) -> Iterator[tuple[TestCase, PipelineRun, PipelineRun, PairedVerdict]]:
@@ -488,9 +499,9 @@ def _scored_cases(
     runs and its verdict.
 
     Both records and the verdict are appended to ``result``, as are the
-    commit counters, ineligibility reasons and per-commit errors.  With
-    ``result.fairness`` both recommendations are first cut to the
-    shorter length.
+    commit counters, ineligibility reasons and per-commit errors.  Cases
+    are scored on the fired files; with ``result.fairness`` both lists
+    are first cut to the shorter length.
     """
     strategies = (result.strategy_a, result.strategy_b)
     walks = tuple(_ChainWalk(graph, s, config, graph.head) for s in strategies)
@@ -508,14 +519,8 @@ def _scored_cases(
             continue
         result.commits_eligible += 1
         for case, run_a, run_b in rows:
-            recs = (run_a.recommendation, run_b.recommendation)
-            if result.fairness:
-                recs = _fair_pair(*recs)
-            record_a, record_b = (
-                EvaluationRecord(case, strategy, *classify(rec, case),
-                                 len(rec.entries), run.n_rules)
-                for strategy, rec, run in zip(strategies, recs, (run_a, run_b))
-            )
+            cut = min(len(run_a.fired), len(run_b.fired)) if result.fairness else None
+            record_a, record_b = (_record(case, run, cut) for run in (run_a, run_b))
             verdict = pairwise_verdict(record_a, record_b)
             result.records_a.append(record_a)
             result.records_b.append(record_b)

@@ -11,9 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .history import ChangesetEntry, CommitGraph, Strategy, strategy_walk
-from .mining import AssociationRule, Transaction, _ranked, _rule, _validate_threshold
+from .mining import (
+    AssociationRule,
+    Transaction,
+    _ranked,
+    _RankKey,
+    _rule,
+    _validate_threshold,
+)
 
 
 class Collector(Enum):
@@ -85,12 +93,27 @@ class PipelineRun:
     """Everything one recommend() call produced, for callers that need
     the intermediate stages (evaluation, diagnostics).  ``n_rules``
     counts the ranked rules kept (at most ``max_rules``), so it is 0
-    exactly when no rule was mined; only the rules that fired are
-    built, as the entries' ``via_rule``."""
+    exactly when no rule was mined.  ``fired`` holds the rank keys of
+    the rules that fired, best first; ``recommendation`` builds them on
+    first use and, not being a field, takes no part in equality."""
 
     db: list[Transaction]
     n_rules: int
-    recommendation: Recommendation
+    fired: tuple[_RankKey, ...]
+    strategy: Strategy
+
+    @property
+    def fired_files(self) -> list[str]:
+        """The recommended files, best first."""
+        return [key[4] for key in self.fired]
+
+    @cached_property
+    def recommendation(self) -> Recommendation:
+        entries = []
+        for key in self.fired:
+            rule = _rule(len(self.db), key)
+            entries.append(RecommendationEntry(key[4], rule.support, rule))
+        return Recommendation(tuple(entries), self.strategy)
 
 
 def _walk_before(
@@ -148,19 +171,18 @@ def _run_pipeline(
 ) -> PipelineRun:
     """Mine and rank ``db``, the transactions collected for query ``files``.
 
-    Ranking runs on integer keys; a rule is built only when it fires:
-    its antecedent lies within ``files`` and its consequent is new.
-    ``config``'s thresholds were validated when it was built."""
+    Ranking and the fire test run on integer keys, and no rule is built:
+    a rule fires when its antecedent lies within ``files`` and its
+    consequent is new.  ``config``'s thresholds were validated already."""
     best = _ranked(db, config.minsup, config.minconf, config.max_rules)
-    picked: list[RecommendationEntry] = []
+    fired: list[_RankKey] = []
     seen: set[str] = set()
     for key in best:
-        x, item = key[3], key[4]
-        if item not in seen and files.issuperset(x):
+        item = key[4]
+        if item not in seen and files.issuperset(key[3]):
             seen.add(item)
-            rule = _rule(len(db), key)
-            picked.append(RecommendationEntry(item, rule.support, rule))
-    return PipelineRun(db, len(best), Recommendation(tuple(picked), strategy))
+            fired.append(key)
+    return PipelineRun(db, len(best), tuple(fired), strategy)
 
 
 def recommend(

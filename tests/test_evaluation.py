@@ -1,12 +1,17 @@
 import importlib
+import io
+import json
 import random
 from collections import Counter
+from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cochange.history as history_module
+import cochange.mining as mining_module
 from cochange import (
     AssociationRule,
     Commit,
@@ -28,13 +33,21 @@ from cochange import (
     pairwise_verdict,
     repo_level_winner,
     run_experiment,
+    save_snapshot,
     single_consequent_rules,
     wilcoxon_signed_rank,
 )
+from cochange.cli import main
 import cochange.evaluation as evaluation_module
 from cochange.evaluation import METRICS, ExperimentResult, _ChainWalk, _scored_cases
 from cochange.history import ancestors_all, ancestors_first_parent
-from cochange.recommend import Collector, _collect, _run_pipeline, _walk_before
+from cochange.recommend import (
+    Collector,
+    _collect,
+    _fair_pair,
+    _run_pipeline,
+    _walk_before,
+)
 from cochange.reporting import summarize_experiment
 
 from conftest import (
@@ -49,6 +62,8 @@ from conftest import (
 from synthgen import generic_graph, long_branch_graph, short_branch_graph
 
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
+# ``cochange.recommend`` the attribute is the function
+recommend_module = importlib.import_module("cochange.recommend")
 
 
 def entry(file, score=Fraction(1, 2)):
@@ -609,6 +624,98 @@ class TestEligibilityBeforeMining:
         assert result.commits_eligible == len(chain) - sum(reasons.values())
         assert result.errors == []
 
+    def test_runs_compare_on_what_was_mined_not_on_the_built_rules(self):
+        graph = eligible_graph()
+        result = ExperimentResult(*PAIR_NO_MERGE, fairness=False)
+        (_, run, _, _), *_ = _scored_cases(graph, RecommenderConfig(), result)
+        assert run.fired
+        again = replace(run)
+        assert again == run
+        # building the recommendation on one side leaves them equal
+        assert run.recommendation.entries and "recommendation" not in vars(again)
+        assert again == run
+        for changed in (replace(run, db=run.db[1:]),
+                        replace(run, n_rules=run.n_rules + 1),
+                        replace(run, fired=run.fired[1:])):
+            assert changed != run
+
+
+def reference_records(case, runs, strategies, fairness):
+    """Both records of one case scored the earlier way: build each run's
+    recommendation, cut them with ``_fair_pair``, classify each."""
+    recs = tuple(run.recommendation for run in runs)
+    if fairness:
+        recs = _fair_pair(*recs)
+    return tuple(
+        EvaluationRecord(case, s, *classify(rec, case), len(rec.entries), run.n_rules)
+        for s, rec, run in zip(strategies, recs, runs)
+    )
+
+
+class TestKeyScoredStreamAgainstReference:
+    @settings(max_examples=60)
+    @given(drawn=evaluation_inputs())
+    def test_records_and_verdicts_match_scoring_the_recommendations(self, drawn):
+        graph, strategies, config = drawn
+        for fairness in (False, True):
+            result = ExperimentResult(*strategies, fairness=fairness)
+            rows = list(_scored_cases(graph, config, result))
+            expected = [
+                reference_records(case, (run_a, run_b), strategies, fairness)
+                for case, run_a, run_b, _ in rows
+            ]
+            assert result.records_a == [a for a, _ in expected]
+            assert result.records_b == [b for _, b in expected]
+            assert [row[3] for row in rows] == result.verdicts == [
+                pairwise_verdict(a, b) for a, b in expected
+            ]
+
+
+class TestScoringBuildsNoRule:
+    """Evaluation and the branch analysis score on the fired keys; only
+    a caller that asks for a run's recommendation builds rules."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every rule built while the fixture is active."""
+        built = []
+        real_rule, real_check = mining_module._rule, AssociationRule.__post_init__
+
+        def counted_rule(n, key):
+            built.append(key)
+            return real_rule(n, key)
+
+        def counted_check(rule):
+            built.append(rule)
+            real_check(rule)
+
+        for module in (mining_module, recommend_module):
+            monkeypatch.setattr(module, "_rule", counted_rule)
+        monkeypatch.setattr(AssociationRule, "__post_init__", counted_check)
+        return built
+
+    def test_run_experiment_builds_no_rule(self, built):
+        result = run_experiment(generic_graph(7, 70), PAIR_NO_MERGE,
+                                RecommenderConfig(), True)
+        assert result.events and any(r.n_recommendations for r in result.records_a)
+        assert built == []
+        # the counters do see a rule built on demand
+        result = ExperimentResult(*PAIR_NO_MERGE, fairness=True)
+        (_, run, _, _), *_ = _scored_cases(eligible_graph(), RecommenderConfig(), result)
+        assert run.recommendation.entries and built
+
+    def test_analyze_branches_builds_no_rule(self, built, tmp_path):
+        snapshot = tmp_path / "snap.jsonl"
+        save_snapshot(generic_graph(7, 70), snapshot)
+        out = tmp_path / "out"
+        with redirect_stdout(io.StringIO()):
+            code = main(["analyze-branches", "--snapshot", str(snapshot),
+                         "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "branch_analysis.json").read_text())
+        assert summary["cases_evaluated"] and summary["cases_diagnosed"]
+        assert built == []
+
 
 _POOL = ("a", "b", "c", "d", "e")
 # every single file and pair of the pool, and a file no commit changes
@@ -685,8 +792,6 @@ class TestChainWalkAgainstReference:
             calls.append(start)
             raise AssertionError("a whole walk was built")
 
-        # ``cochange.recommend`` the attribute is the function
-        recommend_module = importlib.import_module("cochange.recommend")
         for module in (history_module, recommend_module, evaluation_module):
             for name in ("strategy_walk", "ancestors_all"):
                 monkeypatch.setattr(module, name, refused, raising=False)
