@@ -365,6 +365,8 @@ def _cmd_recommend(args) -> int:
     files = frozenset(f for f in args.files.split(",") if f)
     if not files:
         return _error("--files must name at least one file")
+    if not args.at:  # the empty prefix would match every commit
+        return _error("--at must name a commit")
     graph = load_snapshot(args.snapshot)
     at = _resolve_commit(graph, args.at)
     query = Query(files, at)

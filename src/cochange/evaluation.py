@@ -213,10 +213,9 @@ def _prepare_commit(
         return _REASON_IDENTICAL, []
     if not any(len(db) >= _MIN_TRANSACTIONS for _, *dbs in collected for db in dbs):
         return _REASON_TOO_FEW, []
-    a, b = (w.strategy for w in walks)
     rows = [
-        (case, _run_pipeline(db_a, case.query, a, config),
-         _run_pipeline(db_b, case.query, b, config))
+        (case, _run_pipeline(db_a, case.query, config),
+         _run_pipeline(db_b, case.query, config))
         for case, db_a, db_b in collected
     ]
     if not any(run.n_rules for _, *runs in rows for run in runs):
@@ -484,10 +483,11 @@ class ExperimentResult:
         return len(self.verdicts)
 
 
-def _record(case: TestCase, run: PipelineRun, cut: int | None) -> EvaluationRecord:
-    """``run``'s record for ``case``, on its first ``cut`` fired files."""
+def _record(case: TestCase, strategy: Strategy, run: PipelineRun,
+            cut: int | None) -> EvaluationRecord:
+    """``strategy``'s record for ``case``: ``run``'s first ``cut`` fired files."""
     files = run.fired_files[:cut]
-    return EvaluationRecord(case, run.strategy, *_classify(files, case),
+    return EvaluationRecord(case, strategy, *_classify(files, case),
                             len(files), run.n_rules)
 
 
@@ -520,7 +520,8 @@ def _scored_cases(
         result.commits_eligible += 1
         for case, run_a, run_b in rows:
             cut = min(len(run_a.fired), len(run_b.fired)) if result.fairness else None
-            record_a, record_b = (_record(case, run, cut) for run in (run_a, run_b))
+            record_a = _record(case, result.strategy_a, run_a, cut)
+            record_b = _record(case, result.strategy_b, run_b, cut)
             verdict = pairwise_verdict(record_a, record_b)
             result.records_a.append(record_a)
             result.records_b.append(record_b)

@@ -263,7 +263,9 @@ def ingest_repository(
     repo = Path(path)
     if not repo.exists():
         raise IngestError(f"repository path does not exist: {repo}")
-    head = _git(repo, "rev-parse", "--verify", f"{head_ref}^{{commit}}").strip()
+    # git prints the --git-path line first and the verified id last
+    shallow, _, head = _git(repo, "rev-parse", "--verify", f"{head_ref}^{{commit}}",
+                            "--git-path", "shallow").rstrip("\n").rpartition("\n")
     log = _git(
         repo, "log", "--diff-merges=first-parent", "--no-renames",
         "--name-only", "--pretty=format:%x01%H %P %at", head,
@@ -280,15 +282,12 @@ def ingest_repository(
     # Commits whose parents the shallow clone hides; git log listed their
     # full tree as if they were roots.
     clipped: set[str] = set()
-    if _git(repo, "rev-parse", "--is-shallow-repository").strip() == "true":
-        shallow_file = Path(_git(repo, "rev-parse", "--git-path", "shallow").strip())
-        if not shallow_file.is_absolute():
-            shallow_file = repo / shallow_file
-        if shallow_file.exists():
-            for cid in shallow_file.read_text().split():
-                if cid in parents_of and not parents_of[cid]:
-                    parents_of[cid] = _shallow_parents(repo, cid)
-                    clipped.add(cid)
+    shallow_file = repo / shallow  # git gives it relative to repo, or absolute
+    if shallow_file.exists():
+        for cid in shallow_file.read_text().split():
+            if cid in parents_of and not parents_of[cid]:
+                parents_of[cid] = _shallow_parents(repo, cid)
+                clipped.add(cid)
 
     # Every parent of a merge that can be diffed, except a first parent
     # whose diff git log already gave.

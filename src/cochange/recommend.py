@@ -8,10 +8,9 @@ covered by the query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .history import ChangesetEntry, CommitGraph, Strategy, strategy_walk
 from .mining import (
@@ -90,30 +89,20 @@ class Recommendation:
 
 @dataclass
 class PipelineRun:
-    """Everything one recommend() call produced, for callers that need
-    the intermediate stages (evaluation, diagnostics).  ``n_rules``
-    counts the ranked rules kept (at most ``max_rules``), so it is 0
-    exactly when no rule was mined.  ``fired`` holds the rank keys of
-    the rules that fired, best first; ``recommendation`` builds them on
-    first use and, not being a field, takes no part in equality."""
+    """What one mining call produced, for callers that need the
+    intermediate stages (evaluation, diagnostics).  ``n_rules`` counts
+    the ranked rules kept (at most ``max_rules``), so it is 0 exactly
+    when no rule was mined.  ``fired`` holds the rank keys of the rules
+    that fired, best first."""
 
     db: list[Transaction]
     n_rules: int
     fired: tuple[_RankKey, ...]
-    strategy: Strategy
 
     @property
     def fired_files(self) -> list[str]:
         """The recommended files, best first."""
         return [key[4] for key in self.fired]
-
-    @cached_property
-    def recommendation(self) -> Recommendation:
-        entries = []
-        for key in self.fired:
-            rule = _rule(len(self.db), key)
-            entries.append(RecommendationEntry(key[4], rule.support, rule))
-        return Recommendation(tuple(entries), self.strategy)
 
 
 def _walk_before(
@@ -166,7 +155,6 @@ def collect_commits(
 def _run_pipeline(
     db: list[Transaction],
     files: frozenset[str],
-    strategy: Strategy,
     config: RecommenderConfig,
 ) -> PipelineRun:
     """Mine and rank ``db``, the transactions collected for query ``files``.
@@ -182,7 +170,7 @@ def _run_pipeline(
         if item not in seen and files.issuperset(key[3]):
             seen.add(item)
             fired.append(key)
-    return PipelineRun(db, len(best), tuple(fired), strategy)
+    return PipelineRun(db, len(best), tuple(fired))
 
 
 def recommend(
@@ -198,13 +186,11 @@ def recommend(
     in the query are not removed here.
     """
     db = collect_commits(graph, query, strategy, config)
-    return _run_pipeline(db, query.files, strategy, config).recommendation
-
-
-def _fair_pair(*recs: Recommendation) -> tuple[Recommendation, ...]:
-    """The recommendations truncated to the shortest entry list."""
-    cut = min(len(rec.entries) for rec in recs)
-    return tuple(replace(rec, entries=rec.entries[:cut]) for rec in recs)
+    entries = []
+    for key in _run_pipeline(db, query.files, config).fired:
+        rule = _rule(len(db), key)
+        entries.append(RecommendationEntry(key[4], rule.support, rule))
+    return Recommendation(tuple(entries), strategy)
 
 
 def paired_recommend(
@@ -225,5 +211,7 @@ def paired_recommend(
     rec_a = recommend(graph, query, a, config)
     rec_b = recommend(graph, query, b, config)
     if fairness:
-        rec_a, rec_b = _fair_pair(rec_a, rec_b)
+        cut = min(len(rec_a.entries), len(rec_b.entries))
+        rec_a = Recommendation(rec_a.entries[:cut], a)
+        rec_b = Recommendation(rec_b.entries[:cut], b)
     return rec_a, rec_b

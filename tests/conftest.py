@@ -9,7 +9,10 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import cochange.evaluation as evaluation_module
-from cochange import Commit, CommitGraph, Transaction
+from cochange import (
+    Collector, Commit, CommitGraph, RecommenderConfig, Strategy, Transaction,
+)
+from synthgen import generic_graph
 
 
 # Property tests are deterministic and keep no example database, so a
@@ -86,6 +89,23 @@ def databases(draw):
 def thresholds(draw):
     den = draw(st.one_of(st.integers(1, 20), st.integers(10**6, 10**12)))
     return Fraction(draw(st.integers(1, den)), den)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """A generated history, two distinct strategies and a config."""
+    graph = generic_graph(draw(st.integers(0, 10_000)), draw(st.integers(10, 90)))
+    strategies = tuple(draw(st.permutations(list(Strategy)))[:2])
+    fractions = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1)])
+    config = RecommenderConfig(
+        minsup=draw(fractions),
+        minconf=draw(fractions),
+        max_changeset_size=draw(st.integers(2, 10)),
+        max_commits=draw(st.integers(1, 12)),
+        max_rules=draw(st.integers(1, 10)),
+        collector=draw(st.sampled_from(list(Collector))),
+    )
+    return graph, strategies, config
 
 
 @st.composite

@@ -259,6 +259,15 @@ class TestRecommend:
         assert code == 1
         assert "--files must name at least one file" in capsys.readouterr().err
 
+    def test_empty_at_is_refused_before_loading(self, tmp_path, capsys):
+        # one commit, so the empty prefix is not ambiguous and would resolve
+        snap = snap_of(build_graph([mk_commit("A", [], 1, ["x.py"])], "A"), tmp_path)
+        for path in (snap, str(tmp_path / "missing.jsonl")):
+            code = main(["recommend", "--snapshot", path, "--strategy", "full",
+                         "--at", "", "--files", "x.py"])
+            assert code == 1
+            assert "--at must name a commit" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def run_eval(self, snap, out, *extra):

@@ -19,6 +19,7 @@ from cochange import (
     EvaluationRecord,
     Outcome,
     PairedVerdict,
+    Query,
     Recommendation,
     RecommendationEntry,
     RecommenderConfig,
@@ -31,6 +32,7 @@ from cochange import (
     map_all,
     map_app,
     pairwise_verdict,
+    recommend,
     repo_level_winner,
     run_experiment,
     save_snapshot,
@@ -44,7 +46,6 @@ from cochange.history import ancestors_all, ancestors_first_parent
 from cochange.recommend import (
     Collector,
     _collect,
-    _fair_pair,
     _run_pipeline,
     _walk_before,
 )
@@ -52,6 +53,7 @@ from cochange.reporting import summarize_experiment
 
 from conftest import (
     build_graph,
+    evaluation_inputs,
     fail_prepare_on,
     hid,
     mk_commit,
@@ -561,8 +563,8 @@ def mine_first(graph, commit, strategies, config):
     rows = []
     for case in cases:
         rows.append((case, *(
-            _run_pipeline(_collect(walk, case.query, config), case.query, s, config)
-            for walk, s in zip(walks, strategies)
+            _run_pipeline(_collect(walk, case.query, config), case.query, config)
+            for walk in walks
         )))
     runs = [run for row in rows for run in row[1:]]
 
@@ -579,22 +581,6 @@ def mine_first(graph, commit, strategies, config):
     ):
         return "no association rules generated", []
     return None, rows
-
-
-@st.composite
-def evaluation_inputs(draw):
-    graph = generic_graph(draw(st.integers(0, 10_000)), draw(st.integers(10, 90)))
-    strategies = tuple(draw(st.permutations(list(Strategy)))[:2])
-    fractions = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1)])
-    config = RecommenderConfig(
-        minsup=draw(fractions),
-        minconf=draw(fractions),
-        max_changeset_size=draw(st.integers(2, 10)),
-        max_commits=draw(st.integers(1, 12)),
-        max_rules=draw(st.integers(1, 10)),
-        collector=draw(st.sampled_from(list(Collector))),
-    )
-    return graph, strategies, config
 
 
 class TestEligibilityBeforeMining:
@@ -631,9 +617,6 @@ class TestEligibilityBeforeMining:
         assert run.fired
         again = replace(run)
         assert again == run
-        # building the recommendation on one side leaves them equal
-        assert run.recommendation.entries and "recommendation" not in vars(again)
-        assert again == run
         for changed in (replace(run, db=run.db[1:]),
                         replace(run, n_rules=run.n_rules + 1),
                         replace(run, fired=run.fired[1:])):
@@ -642,10 +625,17 @@ class TestEligibilityBeforeMining:
 
 def reference_records(case, runs, strategies, fairness):
     """Both records of one case scored the earlier way: build each run's
-    recommendation, cut them with ``_fair_pair``, classify each."""
-    recs = tuple(run.recommendation for run in runs)
-    if fairness:
-        recs = _fair_pair(*recs)
+    entries, cut them to the shorter list, classify each."""
+    entry_lists = []
+    for run in runs:
+        rules = [mining_module._rule(len(run.db), key) for key in run.fired]
+        entry_lists.append(tuple(
+            RecommendationEntry(key[4], rule.support, rule)
+            for key, rule in zip(run.fired, rules)
+        ))
+    cut = min(map(len, entry_lists)) if fairness else None
+    recs = [Recommendation(entries[:cut], s)
+            for entries, s in zip(entry_lists, strategies)]
     return tuple(
         EvaluationRecord(case, s, *classify(rec, case), len(rec.entries), run.n_rules)
         for s, rec, run in zip(strategies, recs, runs)
@@ -673,7 +663,7 @@ class TestKeyScoredStreamAgainstReference:
 
 class TestScoringBuildsNoRule:
     """Evaluation and the branch analysis score on the fired keys; only
-    a caller that asks for a run's recommendation builds rules."""
+    ``recommend()`` builds rules."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -699,10 +689,13 @@ class TestScoringBuildsNoRule:
                                 RecommenderConfig(), True)
         assert result.events and any(r.n_recommendations for r in result.records_a)
         assert built == []
-        # the counters do see a rule built on demand
+        # the counters do see the rules recommend() builds
+        graph = eligible_graph()
         result = ExperimentResult(*PAIR_NO_MERGE, fairness=True)
-        (_, run, _, _), *_ = _scored_cases(eligible_graph(), RecommenderConfig(), result)
-        assert run.recommendation.entries and built
+        (case, _, _, _), *_ = _scored_cases(graph, RecommenderConfig(), result)
+        rec = recommend(graph, Query(case.query, case.commit), Strategy.FULL,
+                        RecommenderConfig())
+        assert rec.entries and built
 
     def test_analyze_branches_builds_no_rule(self, built, tmp_path):
         snapshot = tmp_path / "snap.jsonl"

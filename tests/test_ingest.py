@@ -69,6 +69,12 @@ class TestIngestLinear:
         assert g.head == c1
         assert set(g.commits) == {c1}
 
+    def test_unknown_ref_fails_in_rev_parse_verify(self, git_sandbox):
+        s = git_sandbox
+        s.commit("one", {"a.txt": "1"})
+        with pytest.raises(IngestError, match="^git rev-parse --verify failed: "):
+            ingest_repository(s.path, head_ref="no-such-ref")
+
     def test_label_defaults_to_directory_name(self, git_sandbox):
         s = git_sandbox
         s.commit("one", {"a.txt": "1"})
@@ -300,7 +306,7 @@ class TestIngestAgainstPerParentDiffs:
 
 class TestIngestGitCalls:
     @pytest.mark.parametrize("n_merges", [1, 6])
-    def test_at_most_four_git_calls(self, git_sandbox, monkeypatch, n_merges):
+    def test_at_most_three_git_calls(self, git_sandbox, monkeypatch, n_merges):
         s = git_sandbox
         s.commit("base", {"a.txt": "0"})
         for i in range(n_merges):
@@ -320,7 +326,7 @@ class TestIngestGitCalls:
         monkeypatch.undo()
         assert sum(c.is_merge for c in g.commits.values()) == n_merges
         assert all(cmd[0] == "git" for cmd in calls)
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
 
 class TestSnapshotRoundTrip:

@@ -11,13 +11,18 @@ from cochange import (
     Strategy,
     collect_commits,
     filter_rules,
+    generate_test_cases,
     paired_recommend,
     recommend,
     single_consequent_rules,
 )
+from cochange.history import ancestors_first_parent
+from cochange.mining import _rule
 from cochange.recommend import _run_pipeline
 
-from conftest import build_graph, databases, hid, mk_commit, thresholds
+from conftest import (
+    build_graph, databases, evaluation_inputs, hid, mk_commit, thresholds,
+)
 
 
 def chain_graph(changesets):
@@ -297,16 +302,16 @@ class TestPipelineAgainstReference:
     )
     def test_matches_building_every_rule(self, db, files, minsup, minconf, max_rules):
         config = RecommenderConfig(minsup=minsup, minconf=minconf, max_rules=max_rules)
-        run = _run_pipeline(db, files, Strategy.FULL, config)
+        run = _run_pipeline(db, files, config)
         n_raw, n_rules, entries = reference_pipeline(db, files, config)
         assert run.n_rules == n_rules
         # reason 4 of evaluation reads n_rules as "was any rule mined"
         assert (run.n_rules == 0) == (n_raw == 0)
+        rules = [_rule(len(db), key) for key in run.fired]
         assert [
-            (e.file, e.score, e.via_rule) for e in run.recommendation.entries
+            (key[4], rule.support, rule) for key, rule in zip(run.fired, rules)
         ] == entries
         assert run.db is db
-        assert run.recommendation.strategy is Strategy.FULL
 
 
 class TestThresholdsStayGuarded:
@@ -374,3 +379,34 @@ class TestPairedRecommend:
                 RecommenderConfig(),
                 fairness=True,
             )
+
+
+class TestRecommendAgainstReference:
+    """``recommend`` and ``paired_recommend`` against collecting and
+    building every rule, on the case queries of head-chain commits."""
+
+    @settings(max_examples=40)
+    @given(drawn=evaluation_inputs())
+    def test_matches_reference_pipeline(self, drawn):
+        graph, strategies, config = drawn
+        for commit in ancestors_first_parent(graph, graph.head):
+            for case in generate_test_cases(graph, commit, config.max_changeset_size):
+                query = Query(case.query, commit)
+                expected = [
+                    reference_pipeline(
+                        collect_commits(graph, query, s, config), query.files, config
+                    )[2]
+                    for s in strategies
+                ]
+                for s, entries in zip(strategies, expected):
+                    rec = recommend(graph, query, s, config)
+                    assert rec.strategy is s
+                    assert [(e.file, e.score, e.via_rule) for e in rec.entries] == entries
+                for fairness in (False, True):
+                    cut = min(map(len, expected)) if fairness else None
+                    recs = paired_recommend(graph, query, strategies, config, fairness)
+                    for rec, s, entries in zip(recs, strategies, expected):
+                        assert rec.strategy is s
+                        assert [
+                            (e.file, e.score, e.via_rule) for e in rec.entries
+                        ] == entries[:cut]
