@@ -109,27 +109,20 @@ def _cap_value(text: str):
     return text if text in ("none", "median") else _int_at_least(0, text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cochange",
-        description="Co-change recommendation and branch handling analysis "
-        "over git history snapshots.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="read a git repository into a snapshot")
+def _ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repo", required=True, help="path to the git repository")
     p.add_argument("--ref", default="HEAD", help="history head (default HEAD)")
     p.add_argument("--out", required=True, help="snapshot file to write")
     p.add_argument("--label", default=None, help="snapshot label (default: dir name)")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("snapshot-validate", help="check a snapshot file")
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("snapshot", help="snapshot file to validate")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("recommend", help="recommend files for a query")
+
+def _recommend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--strategy", required=True,
                    choices=sorted(s.value for s in Strategy))
@@ -141,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_recommend)
 
-    p = sub.add_parser("evaluate", help="paired strategy evaluation")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--pair", required=True, choices=list(_PROFILES),
                    help="strategy pair; selects the experiment profile")
@@ -153,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("analyze-branches",
-                       help="winner rates by branch length and merge size")
+
+def _analyze_branches_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--cap", type=_cap_value, default="none",
@@ -168,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     # The fixed profile, with no --fairness and no --unsafe-override.
     p.set_defaults(func=_cmd_analyze_branches, pair="full,fp-merge")
 
-    p = sub.add_parser("analyze-cochange",
-                       help="precision of merge vs branch co-change data")
+
+def _analyze_cochange_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--horizon", type=_positive_int, default=100,
                    help="future commits to score against (default 100)")
@@ -178,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON config file (only output_dir is read)")
     p.set_defaults(func=_cmd_analyze_cochange)
 
-    p = sub.add_parser("sample-merges",
-                       help="sample merges that add many co-change pairs")
+
+def _sample_merges_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--min-added", type=int, default=7,
                    help="minimum added co-change pairs (default 7)")
@@ -190,11 +184,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON config file (only output_dir is read)")
     p.set_defaults(func=_cmd_sample_merges)
 
-    p = sub.add_parser("report", help="render summary JSON files as tables")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--summary", nargs="+", required=True,
                    help="summary.json files from evaluate runs")
     p.set_defaults(func=_cmd_report)
 
+
+# Subcommand -> (its help line, the function that adds its arguments),
+# in the order the full parser lists them.
+_COMMANDS = {
+    "ingest": ("read a git repository into a snapshot", _ingest_args),
+    "snapshot-validate": ("check a snapshot file", _validate_args),
+    "recommend": ("recommend files for a query", _recommend_args),
+    "evaluate": ("paired strategy evaluation", _evaluate_args),
+    "analyze-branches": ("winner rates by branch length and merge size",
+                         _analyze_branches_args),
+    "analyze-cochange": ("precision of merge vs branch co-change data",
+                         _analyze_cochange_args),
+    "sample-merges": ("sample merges that add many co-change pairs",
+                      _sample_merges_args),
+    "report": ("render summary JSON files as tables", _report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, with only that subparser.
+
+    A narrowed parser still names every subcommand in its usage line,
+    so its usage and error texts are the full parser's.
+    """
+    parser = _Parser(
+        prog="cochange",
+        description="Co-change recommendation and branch handling analysis "
+        "over git history snapshots.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (help_line, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -580,7 +612,10 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand's parser; anything else gets the full one.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -317,29 +317,51 @@ def _branch_of(
     parents until it reaches an ancestor of the first parent.  An inner
     merge met on the way adds its finished ``table`` entry instead of
     being walked again.  A side whose history shares no commit with the
-    first parent's adds nothing."""
-    commits = graph.commits
+    first parent's adds nothing.
+
+    The first parent's ancestors are marked lazily, highest generation
+    first.  Generations strictly fall along parent edges, so every
+    commit on a path from ``fp`` down to ``cur`` has a generation of at
+    least ``gen[cur]``.  Once every marked commit of generation at least
+    ``gen[cur]`` is expanded, ``cur`` is an ancestor of ``fp`` exactly
+    when it is marked.  One marking serves all sides of an octopus."""
+    commits, parents, gen = graph.commits, graph._parents, graph._generation
     fp, *sides = commits[merge].parents
     if fp not in commits:
         return frozenset()
-    stop = _reachable(graph, fp)
+    marked = {fp}
+    heap = [(-gen[fp], fp)]
+
+    def mark_down_to(floor: int) -> None:
+        while heap and -heap[0][0] >= floor:
+            for p in parents[heapq.heappop(heap)[1]]:
+                if p not in marked:
+                    marked.add(p)
+                    heapq.heappush(heap, (-gen[p], p))
+
     result: set[str] = set()
     for side in sides:
         if side not in commits:
             continue
         chain: set[str] = set()
         cur: str | None = side
-        while cur is not None and cur not in stop:
+        while cur is not None:
+            mark_down_to(gen[cur])
+            if cur in marked:
+                break
             c = commits[cur]
             if c.is_merge:
                 chain |= table[cur]
             else:
                 chain.add(cur)
             cur = c.parents[0] if c.parents and c.parents[0] in commits else None
-        # Meeting ``stop`` proves shared history; only a chain that ended
-        # at a root or boundary needs the whole-ancestry test.
-        if cur is not None or not stop.isdisjoint(_reachable(graph, side)):
-            result |= chain
+        # Meeting a marked commit proves shared history; only a chain that
+        # ended at a root or boundary needs the whole-ancestry test.
+        if cur is None:
+            mark_down_to(0)
+            if marked.isdisjoint(_reachable(graph, side)):
+                continue
+        result |= chain
     return frozenset(result)
 
 

@@ -35,12 +35,13 @@ from cochange import (
     save_snapshot,
     winner_rate_table,
 )
+from cochange import history
 from cochange.branches import _future, median_cap
 from cochange.cli import main
-from cochange.history import _reachable, additional_changes, merge_commit_size
+from cochange.history import additional_changes, merge_commit_size
 
-from conftest import build_graph, hid, mk_commit, random_dags
-from synthgen import generic_graph
+from conftest import build_graph, hid, mk_commit, random_dags, reference_reachable
+from synthgen import generic_graph, long_branch_graph, short_branch_graph
 
 CONFIG = RecommenderConfig()
 FULL_VS_FP = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
@@ -595,11 +596,11 @@ def reference_branch_commits(graph, merge):
         fp, *sides = graph.commits[mid].parents
         if fp not in graph.commits:
             continue
-        stop = _reachable(graph, fp)
+        stop = reference_reachable(graph, fp)
         for side in sides:
             if side not in graph.commits:
                 continue
-            if stop.isdisjoint(_reachable(graph, side)):
+            if stop.isdisjoint(reference_reachable(graph, side)):
                 continue
             cur = side
             while cur is not None and cur not in stop:
@@ -698,3 +699,70 @@ class TestBranchTableAgainstReference:
             assert outcome(diagnose_causes, graph, case, db_a, db_b) == outcome(
                 reference_diagnose, graph, case, db_a, db_b
             )
+
+
+def clipped(graph, every):
+    """``graph`` without every ``every``-th commit (the head kept); the
+    dropped parents of the commits left become shallow boundaries."""
+    kept = [
+        c for i, c in enumerate(graph.commits.values())
+        if i % every != every - 1 or c.id == graph.head
+    ]
+    ids = {c.id for c in kept}
+    edges = {p for c in kept for p in c.parents if p not in ids}
+    return CommitGraph.from_commits(kept, graph.head, edges)
+
+
+def reaches_fp_from_every_side(graph):
+    """Whether every side chain of every merge meets its first parent's
+    ancestry before it ends at a root or boundary."""
+    for c in graph.commits.values():
+        if not c.is_merge or c.parents[0] not in graph.commits:
+            continue
+        stop = reference_reachable(graph, c.parents[0])
+        for cur in c.parents[1:]:
+            while cur not in stop:
+                parents = graph.commits[cur].parents
+                if not parents or parents[0] not in graph.commits:
+                    return False
+                cur = parents[0]
+    return True
+
+
+LONG_HISTORIES = {
+    "long-branches": long_branch_graph,
+    "short-branches": short_branch_graph,
+    **{f"generic-{seed}": (lambda seed=seed: generic_graph(seed, 300))
+       for seed in (0, 3, 11)},
+    "clipped": lambda: clipped(generic_graph(5, 300), 7),
+}
+
+
+class TestBranchTableOnLongHistories:
+    @pytest.mark.parametrize("name", sorted(LONG_HISTORIES))
+    def test_every_merge_matches_reference(self, name):
+        graph = LONG_HISTORIES[name]()
+        merges = [cid for cid, c in graph.commits.items() if c.is_merge]
+        assert merges
+        for cid in merges:
+            assert branch_commits(graph, cid) == reference_branch_commits(graph, cid)
+
+    def test_clipped_graph_has_boundary_chains(self):
+        graph = LONG_HISTORIES["clipped"]()
+        assert graph.boundaries
+        assert not reaches_fp_from_every_side(graph)
+
+    @pytest.mark.parametrize("name", ["long-branches", "generic-3"])
+    def test_no_whole_ancestry_walk_when_every_side_meets_fp(self, name, monkeypatch):
+        graph = LONG_HISTORIES[name]()
+        assert reaches_fp_from_every_side(graph)
+        calls = []
+        real = history._reachable
+
+        def counted(graph, start):
+            calls.append(start)
+            return real(graph, start)
+
+        monkeypatch.setattr(history, "_reachable", counted)
+        assert graph._branch_table
+        assert calls == []

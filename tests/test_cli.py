@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochange import RecommenderConfig, save_snapshot
-from cochange.cli import _CONFIG_FIELDS, OUTPUT_DIR_ENV, main
+from cochange import RecommenderConfig, cli, save_snapshot
+from cochange.cli import _COMMANDS, _CONFIG_FIELDS, OUTPUT_DIR_ENV, build_parser, main
 
 from conftest import build_graph, fail_prepare_on, hid, mk_commit
 from synthgen import generic_graph
@@ -96,6 +96,30 @@ class TestParsing:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("rest", [["--help"], [], ["--bogus"]])
+    def test_narrowed_parser_speaks_as_the_full_one(self, command, rest, capsys):
+        argv = [command, *rest]
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert main(argv) == full.value.code
+        assert capsys.readouterr() == expected
+        assert expected.out if rest == ["--help"] else expected.err
+
+    def test_main_builds_only_the_named_subparser(self, monkeypatch):
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        main(["report", "--help"])
+        main(["--help"])
+        main(["reportx"])
+        assert built == ["report", None, None]
 
     def test_bad_pair_is_usage_error(self, tmp_path):
         snap = snap_of(coupled_graph(), tmp_path)

@@ -621,6 +621,50 @@ class TestBranchCommits:
         assert branch_commits(g, hid("M")) == {hid("B")}
         assert branch_length(g, hid("M")) == 1
 
+    def test_root_ended_side_sharing_no_history_adds_nothing(self):
+        commits = [
+            mk_commit("A", [], 1, ["a"]),
+            mk_commit("F", ["A"], 2, ["f"]),
+            mk_commit("R", [], 1, ["r"]),
+            mk_commit("S", ["R"], 2, ["s"]),
+            mk_commit("M", ["F", "S"], 3, ["s"], {"s": (False, True)}),
+        ]
+        g = build_graph(commits, "M")
+        assert branch_commits(g, hid("M")) == frozenset()
+
+    def test_boundary_ended_side_meeting_fp_history_adds_its_chain(self):
+        # S's first-parent chain runs S -> J -> edge, but J's history
+        # reaches A, deep down the first parent F's ancestry.
+        commits = [
+            mk_commit("A", [], 1, ["a"]),
+            mk_commit("B", ["A"], 2, ["b"]),
+            mk_commit("C", ["B"], 3, ["c"]),
+            mk_commit("F", ["C"], 4, ["f"]),
+            mk_commit("K", ["A"], 2, ["k"]),
+            mk_commit("J", ["edge", "K"], 3, ["j"], {"j": (False, True)}),
+            mk_commit("S", ["J"], 4, ["s"]),
+            mk_commit("M", ["F", "S"], 5, ["s"], {"s": (False, True)}),
+        ]
+        g = build_graph(commits, "M", boundaries=["edge"])
+        assert branch_commits(g, hid("M")) == {hid("S")}
+
+    def test_octopus_side_forking_above_the_first_sides_floor(self):
+        # X forks at the root A, so marking F's ancestry reaches A first;
+        # Y forks higher, at C, and must still stop there.
+        commits = [
+            mk_commit("A", [], 1, ["a"]),
+            mk_commit("B", ["A"], 2, ["b"]),
+            mk_commit("C", ["B"], 3, ["c"]),
+            mk_commit("F", ["C"], 4, ["f"]),
+            mk_commit("X1", ["A"], 2, ["x1"]),
+            mk_commit("X2", ["X1"], 3, ["x2"]),
+            mk_commit("Y", ["C"], 4, ["y"]),
+            mk_commit("M", ["F", "X2", "Y"], 5, ["x2", "y"],
+                      {"x2": (False, True, False), "y": (False, False, True)}),
+        ]
+        g = build_graph(commits, "M")
+        assert branch_commits(g, hid("M")) == {hid("X1"), hid("X2"), hid("Y")}
+
     def test_matches_reachability_oracle_on_generated_dags(self):
         # without nested merges on side branches, the attributable commits
         # are exactly the non-merges reachable from the second parent only
