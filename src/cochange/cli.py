@@ -361,9 +361,12 @@ def _config_echo(config: RecommenderConfig) -> dict:
 
 
 def _resolve_commit(graph, text: str) -> str:
-    if text in graph.commits:
-        return text
-    matches = [cid for cid in graph.commits if cid.startswith(text)]
+    """The commit a full id or a unique prefix names; like git, in any
+    letter case."""
+    key = text.lower()
+    if key in graph.commits:
+        return key
+    matches = [cid for cid in graph.commits if cid.startswith(key)]
     if len(matches) == 1:
         return matches[0]
     if not matches:

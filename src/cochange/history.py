@@ -69,6 +69,57 @@ def validate_file_path(path: str) -> str:
 _valid_path = lru_cache(maxsize=4096)(validate_file_path)
 
 
+def _check_commit(
+    cid: str,
+    parents: tuple[str, ...],
+    ts: int,
+    changeset: frozenset[str],
+    merge_eq: Mapping[str, Iterable[bool]] | None,
+    known: Collection[str] = (),
+) -> dict[str, tuple[bool, ...]] | None:
+    """``Commit``'s rules, raising ValueError at the first broken one.
+
+    Returns ``merge_eq`` as the commit stores it: None for a non-merge,
+    else one tuple of bools per changed file.  A parent in ``known`` is
+    taken to be a valid id (the snapshot loader passes the commits it
+    has already loaded); any other parent is matched against the id
+    pattern.
+    """
+    validate_commit_id(cid)
+    for p in parents:
+        if p not in known:
+            validate_commit_id(p)
+    n = len(parents)
+    if n > 1 and len(set(parents)) != n:
+        raise ValueError(f"commit {cid} lists a duplicate parent")
+    if not isinstance(ts, int) or isinstance(ts, bool):
+        raise ValueError(f"commit {cid} has a non-integer timestamp")
+    for f in changeset:
+        _valid_path(f)
+    if n < 2:
+        if merge_eq:
+            raise ValueError(f"non-merge {cid} carries equality flags")
+        return None
+    eq = {f: tuple(map(bool, v)) for f, v in (merge_eq or {}).items()}
+    if eq.keys() != changeset:
+        raise ValueError(
+            f"merge {cid}: per-parent equality flags must cover "
+            "exactly the changed files"
+        )
+    for f, flags in eq.items():
+        if len(flags) != n:
+            raise ValueError(
+                f"merge {cid}: equality flags for {f!r} do not "
+                "match the parent count"
+            )
+        if flags[0]:
+            raise ValueError(
+                f"merge {cid}: {f!r} is in the changeset but "
+                "flagged equal to the first parent"
+            )
+    return eq
+
+
 @dataclass(frozen=True)
 class Commit:
     """One commit.  ``changeset`` is the diff against the first parent
@@ -91,46 +142,36 @@ class Commit:
 
     def __post_init__(self) -> None:
         parents = self.parents
-        if type(parents) is not tuple:  # a snapshot load passes a tuple
+        if type(parents) is not tuple:
             parents = tuple(parents)
             object.__setattr__(self, "parents", parents)
         changeset = self.changeset
         if type(changeset) is not frozenset:
             changeset = frozenset(changeset)
             object.__setattr__(self, "changeset", changeset)
-        cid = validate_commit_id(self.id)
-        for p in parents:
-            validate_commit_id(p)
-        if len(set(parents)) != len(parents):
-            raise ValueError(f"commit {cid} lists a duplicate parent")
-        ts = self.author_timestamp
-        if not isinstance(ts, int) or isinstance(ts, bool):
-            raise ValueError(f"commit {cid} has a non-integer timestamp")
-        for f in changeset:
-            _valid_path(f)
-        if len(parents) < 2:
-            if self.merge_eq:
-                raise ValueError(f"non-merge {cid} carries equality flags")
-            object.__setattr__(self, "merge_eq", None)
-            return
-        eq = {f: tuple(map(bool, v)) for f, v in (self.merge_eq or {}).items()}
-        if eq.keys() != changeset:
-            raise ValueError(
-                f"merge {cid}: per-parent equality flags must cover "
-                "exactly the changed files"
-            )
-        for f, flags in eq.items():
-            if len(flags) != len(parents):
-                raise ValueError(
-                    f"merge {cid}: equality flags for {f!r} do not "
-                    "match the parent count"
-                )
-            if flags[0]:
-                raise ValueError(
-                    f"merge {cid}: {f!r} is in the changeset but "
-                    "flagged equal to the first parent"
-                )
-        object.__setattr__(self, "merge_eq", eq)
+        object.__setattr__(self, "merge_eq", _check_commit(
+            self.id, parents, self.author_timestamp, changeset, self.merge_eq
+        ))
+
+    @classmethod
+    def _checked(
+        cls,
+        cid: str,
+        parents: tuple[str, ...],
+        ts: int,
+        changeset: frozenset[str],
+        merge_eq: dict[str, tuple[bool, ...]] | None,
+    ) -> "Commit":
+        """A commit built without ``__post_init__``.  Precondition: the
+        fields just passed ``_check_commit``, ``parents`` is a tuple,
+        ``changeset`` a frozenset and ``merge_eq`` is what the checker
+        returned.  Only ``load_snapshot`` calls it."""
+        commit = object.__new__(cls)
+        commit.__dict__.update(
+            id=cid, parents=parents, author_timestamp=ts,
+            changeset=changeset, merge_eq=merge_eq,
+        )
+        return commit
 
     @property
     def is_merge(self) -> bool:
@@ -174,6 +215,27 @@ class CommitGraph:
         label: str = "",
     ) -> "CommitGraph":
         return cls({c.id: c for c in commits}, head, frozenset(boundaries), label)
+
+    @classmethod
+    def _parents_first(
+        cls,
+        commits: dict[str, Commit],
+        head: str,
+        boundaries: frozenset[str],
+        label: str,
+    ) -> "CommitGraph":
+        """A graph built without ``_validate``.  Precondition: ``commits``
+        is non-empty, keyed by id and parents first: each parent is an
+        earlier key or in ``boundaries``, whose valid ids are not keys.
+        ``head`` is a key.  The graph keeps ``commits`` itself, and the
+        reversed key order is its children-first order.  Only
+        ``load_snapshot`` calls it."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(
+            commits=commits, head=head, boundaries=boundaries, label=label,
+            _children_first=list(reversed(commits)),
+        )
+        return graph
 
     def commit(self, commit_id: str) -> Commit:
         try:

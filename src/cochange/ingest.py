@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import json.scanner
 import subprocess
-from itertools import repeat
 from pathlib import Path
 
-from .history import Commit, CommitGraph, _newest_first, validate_commit_id
+from .history import (
+    Commit, CommitGraph, _check_commit, _newest_first, validate_commit_id,
+)
 
 FORMAT_VERSION = 1
 
@@ -85,8 +86,19 @@ def _snapshot_json(raw: str, line_no: int) -> dict:
     return value
 
 
+def _is_list_of(kind: type, value) -> bool:
+    # a plain loop: on a record's lists of one to three items it is
+    # about three times faster than all(map(isinstance, ...))
+    if not isinstance(value, list):
+        return False
+    for v in value:
+        if not isinstance(v, kind):
+            return False
+    return True
+
+
 def _list_of(kind: type, value, what: str, line_no: int) -> list:
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(kind))):
+    if not _is_list_of(kind, value):
         raise SnapshotError(f"{what} must be a list of {kind.__name__}", line_no)
     return value
 
@@ -140,18 +152,13 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         if not isinstance(merge_eq, dict):
             raise SnapshotError("merge_eq must be an object", line_no)
         for f, flags in merge_eq.items():
-            # _list_of's test, inlined: the message is built only on failure
-            if not isinstance(flags, list) or not all(
-                map(isinstance, flags, repeat(bool))
-            ):
+            if not _is_list_of(bool, flags):
                 raise SnapshotError(f"merge_eq[{f!r}] must be a list of bool", line_no)
+        cid, parents, ts, files = rec["id"], tuple(parents), rec["ts"], frozenset(files)
         try:
-            commit = Commit(
-                rec["id"], tuple(parents), rec["ts"], frozenset(files), merge_eq
-            )
+            merge_eq = _check_commit(cid, parents, ts, files, merge_eq, commits)
         except ValueError as exc:
             raise SnapshotError(str(exc), line_no) from None
-        cid = commit.id
         if cid in commits:
             raise SnapshotError(f"duplicate commit {cid}", line_no)
         if cid in boundaries:
@@ -163,16 +170,15 @@ def load_snapshot(path: str | Path) -> CommitGraph:
                     "appeared earlier nor is a boundary",
                     line_no,
                 )
-        commits[cid] = commit
+        commits[cid] = Commit._checked(cid, parents, ts, files, merge_eq)
     if not commits:
         raise SnapshotError("snapshot contains no commits", 1)
     head = header["head"]
     if head not in commits:
         raise SnapshotError(f"head {head} is not among the commits", 1)
-    try:
-        return CommitGraph(commits, head, boundaries, header["repo_label"])
-    except ValueError as exc:
-        raise SnapshotError(str(exc)) from None
+    # every record passed the checker and every parent came earlier or
+    # is a boundary: the graph needs no second validation
+    return CommitGraph._parents_first(commits, head, boundaries, header["repo_label"])
 
 
 def _git(repo: Path, *args: str, stdin: str | None = None) -> str:

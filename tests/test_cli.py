@@ -227,6 +227,27 @@ class TestRecommend:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("at", [hid("T")[:10].upper(), hid("T").upper()])
+    def test_upper_case_id_resolves(self, tmp_path, capsys, at):
+        # git rev-parse takes an id or prefix in any letter case
+        assert at != at.lower()
+        snap = snap_of(coupled_graph(), tmp_path)
+        code = main(
+            ["recommend", "--snapshot", snap, "--strategy", "full",
+             "--at", at, "--files", "a", "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["at_commit"] == hid("T")
+
+    def test_unknown_upper_case_prefix_keeps_its_text(self, tmp_path, capsys):
+        snap = snap_of(coupled_graph(), tmp_path)
+        code = main(
+            ["recommend", "--snapshot", snap, "--strategy", "full",
+             "--at", "FFFFFF", "--files", "a"]
+        )
+        assert code == 2
+        assert "unknown commit id: FFFFFF" in capsys.readouterr().err
+
     def test_ambiguous_prefix_is_data_error(self, tmp_path, capsys):
         # G (a3...) and B (ae...) share the prefix "a"
         g = build_graph(

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from cochange import (
     save_snapshot,
 )
 
+import cochange.history as history_mod
 import cochange.ingest as ingest_mod
 from cochange.cli import main
 from cochange.history import validate_commit_id
@@ -910,3 +914,88 @@ class TestLoaderAgainstReference:
             with pytest.raises(SnapshotError, match="invalid JSON") as exc:
                 load(path)
             assert exc.value.line == 2
+
+
+def bench_corpus():
+    """``bench/corpus.py``, loaded from its file: the benchmark's seeded
+    history generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+DERIVED_INDEXES = (
+    "_parents", "_children", "_generation", "_rank", "_first_parent_spans",
+    "_branch_table", "_branch_owners",
+)
+
+
+def assert_indexes_match_a_validated_graph(graph):
+    """Every derived index of ``graph`` equals the one of the same graph
+    built through the public, validating constructor."""
+    validated = CommitGraph(dict(graph.commits), graph.head, graph.boundaries,
+                            graph.label)
+    assert graph == validated
+    for name in DERIVED_INDEXES:
+        assert getattr(graph, name) == getattr(validated, name), name
+    order = graph._children_first
+    assert sorted(order) == sorted(graph.commits)
+    position = {cid: i for i, cid in enumerate(order)}
+    for cid, parents in graph._parents.items():
+        assert all(position[cid] < position[p] for p in parents)
+
+
+class TestLoadedGraphIndexes:
+    @settings(max_examples=200)
+    @given(graph=random_dags())
+    def test_random_dags(self, saved_snapshot, graph):
+        directory, _ = saved_snapshot
+        path = directory / "dag.jsonl"
+        save_snapshot(graph, path)
+        assert_indexes_match_a_validated_graph(load_snapshot(path))
+
+    def test_merge_heavy_bench_history(self, tmp_path):
+        corpus = bench_corpus()
+        shape = corpus.Shape(n_commits=600, n_modules=12, module_files=3,
+                             branches_per_block=12, branch_lengths=(1, 2, 3),
+                             max_files=3)
+        graph = corpus.to_graph(3, corpus.generate(3, shape))
+        save_snapshot(graph, tmp_path / "snap.jsonl")
+        loaded = load_snapshot(tmp_path / "snap.jsonl")
+        assert sum(c.is_merge for c in loaded.commits.values()) > 100
+        assert_indexes_match_a_validated_graph(loaded)
+
+
+class TestLoadChecksOnce:
+    def test_one_check_per_record_and_no_graph_validation(
+        self, monkeypatch, tmp_path
+    ):
+        calls = {"check": 0, "validate": 0}
+        check, validate = history_mod._check_commit, CommitGraph._validate
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_validate(graph):
+            calls["validate"] += 1
+            return validate(graph)
+
+        # both bindings, so a public Commit(...) built by the loader counts
+        monkeypatch.setattr(history_mod, "_check_commit", counted_check)
+        monkeypatch.setattr(ingest_mod, "_check_commit", counted_check)
+        monkeypatch.setattr(CommitGraph, "_validate", counted_validate)
+        graph = generic_graph(seed=2, n_commits=40)
+        path = tmp_path / "snap.jsonl"
+        save_snapshot(graph, path)
+        calls.update(check=0, validate=0)
+        assert load_snapshot(path) == graph
+        assert calls == {"check": len(graph.commits), "validate": 0}
+        # the public constructors still check
+        c = next(iter(graph.commits.values()))
+        Commit(c.id, c.parents, c.author_timestamp, c.changeset, c.merge_eq)
+        CommitGraph(dict(graph.commits), graph.head, graph.boundaries)
+        assert calls == {"check": len(graph.commits) + 1, "validate": 1}
