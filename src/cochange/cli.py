@@ -105,8 +105,12 @@ def _positive_int(text: str) -> int:
     return _int_at_least(1, text)
 
 
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
+
+
 def _cap_value(text: str):
-    return text if text in ("none", "median") else _int_at_least(0, text)
+    return text if text in ("none", "median") else _non_negative_int(text)
 
 
 def _ingest_args(p: argparse.ArgumentParser) -> None:
@@ -175,7 +179,7 @@ def _analyze_cochange_args(p: argparse.ArgumentParser) -> None:
 
 def _sample_merges_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--min-added", type=int, default=7,
+    p.add_argument("--min-added", type=_non_negative_int, default=7,
                    help="minimum added co-change pairs (default 7)")
     p.add_argument("--n", type=_positive_int, default=40, help="sample size (default 40)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")

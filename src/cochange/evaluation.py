@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
 from .history import CommitGraph, Strategy, _entry, _newest_first, ancestors_first_parent
@@ -287,21 +288,32 @@ def aggregate_rates(
     )
 
 
+def _mean(values: Sequence[Fraction]) -> Fraction:
+    """The exact mean of ``values``, building one ``Fraction``: each
+    numerator is added to a running total for its denominator, and the
+    totals meet over the lcm of those denominators."""
+    totals: defaultdict[int, int] = defaultdict(int)
+    for v in values:
+        totals[v.denominator] += v.numerator
+    den = math.lcm(*totals)
+    return Fraction(sum(num * (den // d) for d, num in totals.items()),
+                    den * len(values))
+
+
 def map_all(records: Sequence[EvaluationRecord]) -> Fraction:
     """Mean average precision over every record."""
     if not records:
         raise ValueError("map_all is undefined on zero records")
-    return Fraction(sum(r.average_precision for r in records), len(records))
+    return _mean([r.average_precision for r in records])
 
 
 def map_app(records: Sequence[EvaluationRecord]) -> Fraction:
     """Mean average precision over records that produced recommendations."""
-    applicable = [r for r in records if r.outcome is not Outcome.NO_PREDICTION]
+    applicable = [r.average_precision for r in records
+                  if r.outcome is not Outcome.NO_PREDICTION]
     if not applicable:
         raise ValueError("map_app is undefined: no record has recommendations")
-    return Fraction(
-        sum(r.average_precision for r in applicable), len(applicable)
-    )
+    return _mean(applicable)
 
 
 def pairwise_verdict(
@@ -335,36 +347,27 @@ class WilcoxonResult(NamedTuple):
     p_value: float | None  # None: every difference was zero, no decision
 
 
-def _signed_rank_parts(
-    diffs: Sequence[Fraction],
-) -> tuple[list[Fraction], Fraction, Fraction, list[int]]:
-    """Average ranks of |d|, the two rank sums, and tie group sizes."""
-    order = sorted(range(len(diffs)), key=lambda i: abs(diffs[i]))
-    ranks: list[Fraction] = [Fraction(0)] * len(diffs)
-    ties: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and abs(diffs[order[j]]) == abs(diffs[order[i]]):
-            j += 1
-        avg = Fraction(i + 1 + j, 2)  # mean of ranks i+1 .. j
-        for k in range(i, j):
-            ranks[order[k]] = avg
-        ties.append(j - i)
-        i = j
-    w_pos = sum((r for d, r in zip(diffs, ranks) if d > 0), Fraction(0))
-    w_neg = sum((r for d, r in zip(diffs, ranks) if d < 0), Fraction(0))
-    return ranks, w_pos, w_neg, ties
+def _signed_rank_parts(diffs: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """Doubled average ranks of |d|, the doubled positive rank sum, and
+    tie group sizes, for non-zero integer differences."""
+    sizes = Counter(map(abs, diffs))
+    doubled: dict[int, int] = {}
+    below = 0
+    for m in sorted(sizes):
+        t = sizes[m]
+        doubled[m] = 2 * below + t + 1  # twice the mean of ranks below+1 .. below+t
+        below += t
+    w_pos = sum(doubled[d] for d in diffs if d > 0)
+    return [doubled[abs(d)] for d in diffs], w_pos, list(sizes.values())
 
 
-def _exact_p(ranks: Sequence[Fraction], w_low: Fraction) -> float:
+def _exact_p(doubled: Sequence[int], w_low: int) -> float:
     """Two-sided exact p over all 2^n sign assignments.
 
-    Uses doubled ranks (integers) and a subset-sum distribution, which is
-    the enumeration's distribution computed without materialising 2^n
-    assignments.
+    Uses doubled ranks and rank sums (integers) and a subset-sum
+    distribution, which is the enumeration's distribution computed
+    without materialising 2^n assignments.
     """
-    doubled = [int(2 * r) for r in ranks]
     total = sum(doubled)
     dist: dict[int, int] = {0: 1}
     for d in doubled:
@@ -373,14 +376,13 @@ def _exact_p(ranks: Sequence[Fraction], w_low: Fraction) -> float:
             nxt[s] = nxt.get(s, 0) + c
             nxt[s + d] = nxt.get(s + d, 0) + c
         dist = nxt
-    lo = 2 * w_low
-    hi = total - lo
-    count = sum(c for s, c in dist.items() if s <= lo or s >= hi)
-    return count / (2 ** len(ranks))
+    hi = total - w_low
+    count = sum(c for s, c in dist.items() if s <= w_low or s >= hi)
+    return count / (2 ** len(doubled))
 
 
 def _approx_p(
-    n: int, ties: Sequence[int], t_stat: Fraction
+    n: int, ties: Sequence[int], t_stat: float
 ) -> float:
     """Normal approximation with tie and continuity corrections."""
     mu = Fraction(n * (n + 1), 4)
@@ -388,7 +390,7 @@ def _approx_p(
         sum(t**3 - t for t in ties), 48
     )
     sigma = math.sqrt(float(var))
-    z = (float(t_stat) - float(mu) + 0.5) / sigma
+    z = (t_stat - float(mu) + 0.5) / sigma
     p = 2 * 0.5 * math.erfc(-z / math.sqrt(2))
     return min(1.0, p)
 
@@ -402,24 +404,30 @@ def wilcoxon_signed_rank(
     Zero differences are dropped; tied magnitudes share average ranks.
     ``auto`` enumerates the exact distribution below 10 remaining pairs
     and falls back to the tie- and continuity-corrected normal
-    approximation otherwise.
+    approximation otherwise.  The differences are ranked as integers,
+    scaled by the lcm of every value's denominator: scaling keeps their
+    order and ties, so the ranks are those of the exact differences.
     """
-    diffs = [Fraction(a) - Fraction(b) for a, b in pairs]
-    diffs = [d for d in diffs if d != 0]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+              for a, b in pairs for v in (a, b)]
+    den = math.lcm(*{v.denominator for v in values})
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    diffs = [d for d in map(sub, scaled[::2], scaled[1::2]) if d]
     n = len(diffs)
     if n == 0:
         return WilcoxonResult(0.0, None)
-    ranks, w_pos, w_neg, ties = _signed_rank_parts(diffs)
-    t_stat = min(w_pos, w_neg)
+    doubled, w_pos, ties = _signed_rank_parts(diffs)
+    t_doubled = min(w_pos, n * (n + 1) - w_pos)  # the doubled ranks sum to n(n+1)
+    t_stat = t_doubled / 2
     if method == "auto":
         method = "exact" if n < 10 else "approx"
     if method == "exact":
         if n > 25:
             raise ValueError("exact method is limited to 25 non-zero pairs")
-        p = _exact_p(ranks, t_stat)
+        p = _exact_p(doubled, t_doubled)
     else:
         p = _approx_p(n, ties, t_stat)
-    return WilcoxonResult(float(t_stat), p)
+    return WilcoxonResult(t_stat, p)
 
 
 Metric = Literal["success_rate", "map_all", "wins"]

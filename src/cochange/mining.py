@@ -6,7 +6,10 @@ the mining path.
 
 Mining and ranking are one integer pass, ``_ranked``: vertical bitmask
 counts, thresholds compared as integer cross-products, and a top-k pick
-on integer rank keys.  It trusts its thresholds: the recommendation
+on integer rank keys.  Rules rank by count first, so it keys the
+frequent itemsets one count level at a time, best first, and stops
+before a level once ``max_rules`` keys are built: no rule of a lower
+count can reach the cut.  It trusts its thresholds: the recommendation
 pipeline passes those of a ``RecommenderConfig``, validated when it was
 built, and builds a ``Fraction`` rule (``_rule``) only for a key whose
 rule fires.  ``apriori`` (level-wise, with candidate pruning), and
@@ -16,11 +19,11 @@ straightforward reference it is tested against.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -258,7 +261,10 @@ def _ranked(
     Each file's transactions are one bitmask, so an itemset's count is
     the popcount of its prefix's mask ANDed with its last file's mask
     (Eclat's vertical tidsets).  With n fixed, support c_all/n and
-    confidence c_all/c_x rank exactly as the key.
+    confidence c_all/c_x rank exactly as the key.  The search counts
+    every frequent itemset; keys are built only for the count levels
+    that can reach the cut, and each level begun is keyed whole, since
+    its rules are ordered by the key's later fields.
     """
     n = len(db)
     sup_den, sup_need = minsup.denominator, minsup.numerator * n
@@ -273,6 +279,7 @@ def _ranked(
     # Depth-first over frequent prefixes, each with its transaction mask
     # and the files after its last one that may extend it.
     counts: dict[tuple[str, ...], int] = {}
+    multi: list[tuple[tuple[str, ...], int]] = []  # itemsets of 2+ files
     stack = [((), (1 << n) - 1, sorted(masks.items()))]
     while stack:
         prefix, prefix_mask, extensions = stack.pop()
@@ -281,21 +288,34 @@ def _ranked(
             mask &= prefix_mask
             c = mask.bit_count()
             if c * sup_den >= sup_need:
-                counts[prefix + (f,)] = c
+                itemset = prefix + (f,)
+                counts[itemset] = c
+                if prefix:
+                    multi.append((itemset, c))
                 frequent.append((f, mask))
-        for i, (f, mask) in enumerate(frequent):
+        # The last frequent extension has nothing left to extend it.
+        for i in range(len(frequent) - 1):
+            f, mask = frequent[i]
             stack.append((prefix + (f,), mask, frequent[i + 1:]))
 
+    # Key one count level at a time, best first: a rule of a lower count
+    # ranks below every rule of a higher one, so once ``max_rules`` keys
+    # are built no lower level can reach the cut.
+    multi.sort(key=itemgetter(1), reverse=True)
     keys: list[_RankKey] = []
-    for itemset, c_all in counts.items():
-        if len(itemset) < 2:
-            continue
+    level = 0
+    for itemset, c_all in multi:
+        if c_all != level:
+            if len(keys) >= max_rules:
+                break
+            level = c_all
         for i, item in enumerate(itemset):
             x = itemset[:i] + itemset[i + 1:]
             c_x = counts[x]
             if c_all * conf_den >= conf_num * c_x:
                 keys.append((-c_all, c_x, len(x), x, item))
-    return heapq.nsmallest(max_rules, keys)
+    keys.sort()
+    return keys[:max_rules]
 
 
 def _rule(n: int, key: _RankKey) -> AssociationRule:

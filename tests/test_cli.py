@@ -1046,6 +1046,8 @@ class TestUsageErrorsBeforeWork:
         (["analyze-cochange", "--horizon", "0"],
          "argument --horizon: must be at least 1"),
         (["sample-merges", "--n", "0"], "argument --n: must be at least 1"),
+        (["sample-merges", "--min-added", "-3"],
+         "argument --min-added: must be at least 0"),
         (["evaluate", "--pair", "full,fp-merge", "--max-rules", "0"],
          "argument --max-rules: must be at least 1"),
         (["evaluate", "--pair", "full,fp-no-merge", "--max-commits", "0"],

@@ -1,6 +1,8 @@
 import importlib
 import io
+import itertools
 import json
+import math
 import random
 from collections import Counter
 from contextlib import redirect_stdout
@@ -390,6 +392,80 @@ class TestWilcoxon:
 
     def test_empty_input_is_no_decision(self):
         assert wilcoxon_signed_rank([]).p_value is None
+
+
+def reference_wilcoxon(pairs, method):
+    """The signed-rank test in plain ``Fraction`` arithmetic: each rank
+    counted from its definition, the exact p by enumerating every sign
+    assignment."""
+    diffs = [d for d in (Fraction(a) - Fraction(b) for a, b in pairs) if d]
+    n = len(diffs)
+    if n == 0:
+        return 0.0, None
+    mags = [abs(d) for d in diffs]
+    ranks = [sum(m < x for m in mags) + Fraction(sum(m == x for m in mags) + 1, 2)
+             for x in mags]
+    w_pos = sum((r for d, r in zip(diffs, ranks) if d > 0), Fraction(0))
+    w_neg = sum((r for d, r in zip(diffs, ranks) if d < 0), Fraction(0))
+    t = min(w_pos, w_neg)
+    if method == "exact":
+        total = sum(ranks)
+        hits = 0
+        for signs in itertools.product((False, True), repeat=n):
+            w = sum((r for s, r in zip(signs, ranks) if s), Fraction(0))
+            hits += w <= t or w >= total - t
+        return float(t), hits / 2 ** n
+    mu = Fraction(n * (n + 1), 4)
+    var = Fraction(n * (n + 1) * (2 * n + 1), 24) - Fraction(
+        sum(k ** 3 - k for k in Counter(mags).values()), 48
+    )
+    z = (float(t) - float(mu) + 0.5) / math.sqrt(float(var))
+    return float(t), min(1.0, math.erfc(-z / math.sqrt(2)))
+
+
+AVERAGE_PRECISIONS = st.one_of(
+    st.sampled_from([Fraction(0)] + [Fraction(1, rank) for rank in range(1, 11)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+
+
+class TestExactSumsAgainstFractionFormulas:
+    """``map_all``, ``map_app`` and ``wilcoxon_signed_rank`` sum integers
+    over common denominators; they equal the plain ``Fraction`` formulas."""
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(
+            st.builds(lambda rank: (Fraction(1, rank), Outcome.SUCCESS),
+                      st.integers(1, 10)),
+            st.sampled_from([(Fraction(0), Outcome.FAILURE),
+                             (Fraction(0), Outcome.NO_PREDICTION)]),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_maps(self, rows):
+        records = [record(ap, outcome) for ap, outcome in rows]
+        aps = [ap for ap, _ in rows]
+        assert map_all(records) == Fraction(sum(aps, Fraction(0)), len(aps))
+        applicable = [ap for ap, outcome in rows if outcome is not Outcome.NO_PREDICTION]
+        if applicable:
+            assert map_app(records) == Fraction(sum(applicable, Fraction(0)), len(applicable))
+        else:
+            with pytest.raises(ValueError):
+                map_app(records)
+
+    @settings(max_examples=300)
+    @given(
+        pairs=st.lists(st.tuples(AVERAGE_PRECISIONS, AVERAGE_PRECISIONS), max_size=30),
+        method=st.sampled_from(["auto", "exact", "approx"]),
+    )
+    def test_wilcoxon(self, pairs, method):
+        n = sum(a != b for a, b in pairs)
+        if method == "exact" and n > 10:
+            pairs = [(a, b) for a, b in pairs if a != b][:10]
+        elif method == "auto":
+            method = "exact" if n < 10 else "approx"
+        assert tuple(wilcoxon_signed_rank(pairs, method)) == reference_wilcoxon(pairs, method)
 
 
 class TestRepoLevelWinner:

@@ -326,6 +326,86 @@ class TestTopRules:
         ]
 
 
+def tied_databases():
+    """Databases over 2-5 files drawn from at most 3 distinct changesets,
+    so many itemsets share a count and the cut often splits a level."""
+    files = st.sampled_from("abcde")
+    pool = st.lists(st.frozensets(files, min_size=1), min_size=1, max_size=3)
+    return pool.flatmap(
+        lambda p: st.lists(st.sampled_from(p), min_size=1, max_size=12)
+    ).map(lambda picks: tx(*picks))
+
+
+class TestLevelCut:
+    """``_ranked`` keys the count levels best first and stops before a
+    level once ``max_rules`` keys are built."""
+
+    # Count 3: ab, ac, bc and abc (9 rules at minconf 1/2); count 2: de.
+    TIERED = tx(*[set("abc")] * 3, {"c"}, {"c"}, *[{"d", "e"}] * 2)
+
+    @pytest.mark.parametrize("max_rules, expected", [
+        (1, [("a", "b")]),
+        (4, [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c")]),
+        (6, [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"),
+             ("ab", "c"), ("ac", "b")]),
+        (8, [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"),
+             ("ab", "c"), ("ac", "b"), ("bc", "a"), ("c", "a")]),
+    ])
+    def test_cut_inside_a_level_keeps_its_best(self, max_rules, expected):
+        # Within count 3: c_x 3 before c_x 5 (c's rules), then one-file
+        # antecedents before two, then antecedent, then consequent order.
+        keys = _ranked(self.TIERED, Fraction(1, 7), Fraction(1, 2), max_rules)
+        assert [("".join(x), item) for _, _, _, x, item in keys] == expected
+        assert {k[0] for k in keys} == {-3}
+        assert [_rule(7, k) for k in keys] == filter_rules(
+            single_consequent_rules(self.TIERED, Fraction(1, 7), Fraction(1, 2)),
+            max_rules,
+        )
+
+    def test_cut_at_a_level_boundary(self):
+        # The 9 rules of count 3 fill a cut of 9; a cut of 10 takes one of de.
+        nine = _ranked(self.TIERED, Fraction(1, 7), Fraction(1, 2), 9)
+        ten = _ranked(self.TIERED, Fraction(1, 7), Fraction(1, 2), 10)
+        assert {k[0] for k in nine} == {-3}
+        assert ten[:9] == nine
+        assert ten[9] == (-2, 2, 1, ("d",), "e")
+
+    def test_top_level_failing_minconf_falls_through(self):
+        # ab (count 3) has confidence 3/8 both ways; cd (count 2) has 1.
+        db = tx(*[{"a", "b"}] * 3, *[{"a"}] * 5, *[{"b"}] * 5, *[{"c", "d"}] * 2)
+        rules = ranked_rules(db, Fraction(1, 15), Fraction(1, 2), 1)
+        assert rules == [AssociationRule(
+            frozenset({"c"}), frozenset({"d"}), Fraction(2, 15), Fraction(1)
+        )]
+        assert ranked_rules(db, Fraction(1, 15), Fraction(1, 2), 5) == filter_rules(
+            single_consequent_rules(db, Fraction(1, 15), Fraction(1, 2)), 5
+        )
+
+    def test_max_rules_above_the_rule_count_keeps_every_rule(self):
+        every = single_consequent_rules(FIVE, Fraction(1, 5), Fraction(1, 5))
+        assert ranked_rules(FIVE, Fraction(1, 5), Fraction(1, 5), 100) == filter_rules(
+            every, 100
+        )
+        assert len(every) < 100
+
+    def test_empty_database_has_no_keys(self):
+        assert _ranked([], Fraction(1, 2), Fraction(1, 2), 10) == []
+
+    @settings(max_examples=400)
+    @given(
+        db=tied_databases(),
+        minsup=st.one_of(st.just(Fraction(1, 12)), thresholds()),
+        minconf=st.one_of(st.just(Fraction(1, 12)), thresholds()),
+        max_rules=st.integers(1, 3),
+    )
+    def test_small_cuts_on_tied_databases_match_reference(
+        self, db, minsup, minconf, max_rules
+    ):
+        assert ranked_rules(db, minsup, minconf, max_rules) == filter_rules(
+            single_consequent_rules(db, minsup, minconf), max_rules
+        )
+
+
 class TestExactThresholds:
     @pytest.mark.parametrize("value", [0.5, 1.0, True])
     def test_float_and_bool_rejected_naming_the_field(self, value):
