@@ -23,8 +23,9 @@ from .history import (
     branch_commits,
     merge_commit_size,
 )
-from .evaluation import PairedVerdict, TestCase
+from .evaluation import ExperimentResult, PairedVerdict, TestCase, _scored_cases
 from .mining import Transaction
+from .recommend import RecommenderConfig
 
 
 class CauseAttributionError(RuntimeError):
@@ -203,6 +204,59 @@ def median_cap(sizes: Sequence[int]) -> int | None:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid] + 1) // 2
+
+
+def analyze_branches(
+    graph: CommitGraph,
+    config: RecommenderConfig,
+    result: ExperimentResult,
+    cap: int | str | None = None,
+    n_bins: int = 5,
+    multi_threshold: int = 6,
+) -> tuple[dict[str, list[WinnerRateBin]], dict]:
+    """Winner rates of ``result``'s strategy pair by branch characteristic.
+
+    Every case is scored into ``result`` (per-commit errors included) and
+    the difference of its two collections diagnosed.  ``cap`` (None,
+    ``"median"`` or an int) keeps the cases whose first-parent collection
+    holds at most that many commits; ``"median"`` takes ``median_cap`` of
+    the sizes.  Returns the four winner-rate tables, keyed by their CSV
+    file names, and the summary written as ``branch_analysis.json``.
+    """
+    # One constant-size row per case, in case order (winner_rate_table
+    # breaks ties by position): first-parent collection size, diagnosis
+    # (None for equal collections, CauseAttributionError when no merge
+    # explains the difference), verdict.  The collections themselves are
+    # dropped as soon as the case is diagnosed.
+    rows = []
+    for case, run_a, run_b, verdict in _scored_cases(graph, config, result):
+        try:
+            diagnosis = diagnose_causes(graph, case, run_a.db, run_b.db)
+        except CauseAttributionError:
+            diagnosis = CauseAttributionError
+        rows.append((len(run_b.db), diagnosis, verdict))
+    if cap == "median":
+        cap = median_cap([size for size, _, _ in rows])
+    kept = [(d, v) for size, d, v in rows if cap is None or size <= cap]
+    pairs = [(d, v) for d, v in kept if isinstance(d, CausalDiagnosis)]
+    hist = Counter(d.n_causing for d, _ in pairs)
+    tables = {
+        f"winner_rate_{characteristic}_{cohort.value.replace('-', '_')}.csv":
+            winner_rate_table(pairs, characteristic, cohort, n_bins, multi_threshold)
+        for characteristic in ("branch_length", "merge_size")
+        for cohort in (Cohort.SINGLE, Cohort.SIX_PLUS)
+    }
+    summary = {
+        "strategy_pair": [result.strategy_a.value, result.strategy_b.value],
+        "cap": cap,
+        "cases_evaluated": len(rows),
+        "cases_after_cap": len(kept),
+        "cases_diagnosed": len(pairs),
+        "cases_equal_collections": sum(d is None for d, _ in kept),
+        "cases_unattributed": sum(d is CauseAttributionError for d, _ in kept),
+        "causing_merges_histogram": {str(k): hist[k] for k in sorted(hist)},
+    }
+    return tables, summary
 
 
 def eligible_merges_for_cochange(graph: CommitGraph) -> list[str]:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
@@ -21,19 +20,14 @@ from pathlib import Path
 
 from . import __version__
 from .branches import (
-    CausalDiagnosis,
-    CauseAttributionError,
-    Cohort,
     CochangeMode,
     added_cochange_count,
+    analyze_branches,
     branch_info,
-    diagnose_causes,
-    median_cap,
     sample_heavy_merges,
     cochange_study,
-    winner_rate_table,
 )
-from .evaluation import ExperimentResult, _scored_cases, run_experiment
+from .evaluation import ExperimentResult, run_experiment
 from .history import Strategy
 from .ingest import (
     IngestError,
@@ -62,9 +56,6 @@ from .reporting import (
 )
 
 OUTPUT_DIR_ENV = "COCHANGE_OUTPUT_DIR"
-
-# Marks a case whose differing collections no merge explains.
-_UNATTRIBUTED = object()
 
 # Experiment profiles bind the collector and the fairness adjustment to
 # the strategy pair; overriding either needs evaluate's --unsafe-override.
@@ -110,7 +101,9 @@ def _non_negative_int(text: str) -> int:
 
 
 def _cap_value(text: str):
-    return text if text in ("none", "median") else _non_negative_int(text)
+    if text == "none":
+        return None
+    return text if text == "median" else _non_negative_int(text)
 
 
 def _ingest_args(p: argparse.ArgumentParser) -> None:
@@ -155,7 +148,7 @@ def _evaluate_args(p: argparse.ArgumentParser) -> None:
 def _analyze_branches_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--cap", type=_cap_value, default="none",
+    p.add_argument("--cap", type=_cap_value, default=None,
                    help="keep cases with at most CAP first-parent commits; "
                         "'median' recomputes the cap from the data (default none)")
     p.add_argument("--bins", type=_positive_int, default=5,
@@ -284,7 +277,14 @@ def _read_json_object(path: str) -> dict:
 
 
 def _file_config(args) -> dict:
-    return {} if args.config is None else _read_json_object(args.config)
+    """The ``--config`` object; a key no command reads is refused."""
+    if args.config is None:
+        return {}
+    config = _read_json_object(args.config)
+    unknown = sorted(config.keys() - {*_CONFIG_FIELDS, "output_dir"})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key {unknown[0]!r}")
+    return config
 
 
 def _build_recommender_config(
@@ -306,9 +306,10 @@ def _build_recommender_config(
     return RecommenderConfig(**values)
 
 
-def _resolve_out_dir(args, file_config: dict) -> Path:
-    """``--out``, then the environment, then ``output_dir``; the caller
-    creates it once the snapshot has loaded."""
+def _load_for_output(args, file_config: dict):
+    """The loaded snapshot and the output directory: ``--out``, then the
+    environment, then ``output_dir``.  The directory is resolved before
+    the snapshot is read and created only once it has loaded."""
     out = getattr(args, "out", None)
     if out is None:
         out = os.environ.get(OUTPUT_DIR_ENV)
@@ -321,7 +322,9 @@ def _resolve_out_dir(args, file_config: dict) -> Path:
             "no output directory: pass --out, set "
             f"{OUTPUT_DIR_ENV}, or put output_dir in the config file"
         ))
-    return Path(out)
+    graph = load_snapshot(args.snapshot)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return graph, Path(out)
 
 
 def _error(message: str, code: int = 1) -> int:
@@ -475,9 +478,7 @@ def _pair_settings(
 def _cmd_evaluate(args) -> int:
     file_config = _file_config(args)
     strategies, config, fairness = _pair_settings(args, file_config)
-    out_dir = _resolve_out_dir(args, file_config)
-    graph = load_snapshot(args.snapshot)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    graph, out_dir = _load_for_output(args, file_config)
     result = run_experiment(graph, strategies, config, fairness, graph.label)
     write_records_csv(result, out_dir / "records.csv")
     summary = summarize_experiment(result)
@@ -492,82 +493,27 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze_branches(args) -> int:
     file_config = _file_config(args)
     strategies, config, fairness = _pair_settings(args, file_config)
-    out_dir = _resolve_out_dir(args, file_config)
-    graph = load_snapshot(args.snapshot)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # One constant-size row per case, in case order (winner_rate_table
-    # breaks ties by position): first-parent collection size, diagnosis
-    # (None for equal collections), verdict.  The collections themselves
-    # are dropped as soon as the case is diagnosed.
-    rows = []
+    graph, out_dir = _load_for_output(args, file_config)
     result = ExperimentResult(*strategies, fairness)
-    for case, run_a, run_b, verdict in _scored_cases(graph, config, result):
-        try:
-            diagnosis = diagnose_causes(graph, case, run_a.db, run_b.db)
-        except CauseAttributionError:
-            diagnosis = _UNATTRIBUTED
-        rows.append((len(run_b.db), diagnosis, verdict))
-
-    if args.cap == "median":
-        cap = median_cap([size for size, _, _ in rows])
-    else:
-        cap = None if args.cap == "none" else args.cap
-    kept = [(d, v) for size, d, v in rows if cap is None or size <= cap]
-    pairs = [(d, v) for d, v in kept if isinstance(d, CausalDiagnosis)]
-    equal_collections = sum(d is None for d, _ in kept)
-    unattributed = sum(d is _UNATTRIBUTED for d, _ in kept)
-    hist = Counter(d.n_causing for d, _ in pairs)
-
-    outputs = []
-    for characteristic in ("branch_length", "merge_size"):
-        for cohort in (Cohort.SINGLE, Cohort.SIX_PLUS):
-            bins = winner_rate_table(
-                pairs,
-                characteristic,
-                cohort,
-                n_bins=args.bins,
-                multi_threshold=args.multi_threshold,
-            )
-            name = f"winner_rate_{characteristic}_{cohort.value.replace('-', '_')}.csv"
-            write_winner_rate_csv(bins, out_dir / name)
-            outputs.append(name)
-    summary = {
-        "strategy_pair": [s.value for s in strategies],
-        "cap": cap,
-        "cases_evaluated": len(rows),
-        "cases_after_cap": len(kept),
-        "cases_diagnosed": len(pairs),
-        "cases_equal_collections": equal_collections,
-        "cases_unattributed": unattributed,
-        "causing_merges_histogram": {str(k): hist[k] for k in sorted(hist)},
-    }
+    tables, summary = analyze_branches(graph, config, result, args.cap,
+                                       args.bins, args.multi_threshold)
+    for name, bins in tables.items():
+        write_winner_rate_csv(bins, out_dir / name)
     write_json(summary, out_dir / "branch_analysis.json")
-    outputs.append("branch_analysis.json")
-    _write_metadata(
-        out_dir,
-        args,
-        {
-            "cap": cap,
-            "bins": args.bins,
-            "multi_threshold": args.multi_threshold,
-            "recommender": _config_echo(config),
-        },
-        outputs,
-    )
+    _write_metadata(out_dir, args, {"cap": summary["cap"], "bins": args.bins,
+                                    "multi_threshold": args.multi_threshold,
+                                    "recommender": _config_echo(config)},
+                    [*tables, "branch_analysis.json"])
     if result.errors:
-        print(errors_line(len(result.errors), *result.errors[0]),
-              file=sys.stderr)
-    print(
-        f"{len(pairs)} diagnosed cases ({equal_collections} with equal "
-        f"collections, {unattributed} unattributed) -> {out_dir}"
-    )
+        print(errors_line(len(result.errors), *result.errors[0]), file=sys.stderr)
+    print(f"{summary['cases_diagnosed']} diagnosed cases "
+          f"({summary['cases_equal_collections']} with equal collections, "
+          f"{summary['cases_unattributed']} unattributed) -> {out_dir}")
     return 0
 
 
 def _cmd_analyze_cochange(args) -> int:
-    out_dir = _resolve_out_dir(args, _file_config(args))
-    graph = load_snapshot(args.snapshot)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    graph, out_dir = _load_for_output(args, _file_config(args))
     records, diagnostics = cochange_study(graph, args.horizon)
     summary = precision_summary(records, diagnostics, args.horizon)
     write_precision_csv(records, out_dir / "precision.csv")
@@ -582,9 +528,7 @@ def _cmd_analyze_cochange(args) -> int:
 
 
 def _cmd_sample_merges(args) -> int:
-    out_dir = _resolve_out_dir(args, _file_config(args))
-    graph = load_snapshot(args.snapshot)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    graph, out_dir = _load_for_output(args, _file_config(args))
     sampled = sample_heavy_merges(graph, args.min_added, args.n, args.seed)
     rows = []
     for cid in sampled:

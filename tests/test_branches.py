@@ -13,6 +13,7 @@ from cochange import (
     Cohort,
     Collector,
     CommitGraph,
+    ExperimentResult,
     PairedVerdict,
     Query,
     RecommenderConfig,
@@ -36,7 +37,7 @@ from cochange import (
     winner_rate_table,
 )
 from cochange import history
-from cochange.branches import _future, median_cap
+from cochange.branches import _future, analyze_branches, median_cap
 from cochange.cli import main
 from cochange.history import additional_changes, merge_commit_size
 
@@ -295,6 +296,73 @@ class TestCollectionFilters:
     def test_cap_zero_drops_everything_nonempty(self, corpus, tmp_path):
         snap, sizes = corpus
         assert self.cases_after_cap(snap, tmp_path, "0") == sizes.count(0)
+
+
+class TestAnalyzeBranches:
+    """``analyze_branches`` against a diagnosis redone case by case from
+    ``run_experiment`` and ``collect_commits``, and against the summary
+    that ``analyze-branches`` writes."""
+
+    CONFIG = TestCollectionFilters.CONFIG
+    PAIR = (Strategy.FULL, Strategy.FIRST_PARENT_MERGE)
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        graph = generic_graph(seed=7, n_commits=70)
+        snap = tmp_path_factory.mktemp("analysis") / "snap.jsonl"
+        save_snapshot(graph, snap)
+        reference = run_experiment(graph, self.PAIR, self.CONFIG, False)
+        rows = []
+        for record, verdict in zip(reference.records_a, reference.verdicts):
+            query = Query(record.test_case.query, record.test_case.commit)
+            db_a, db_b = (collect_commits(graph, query, s, self.CONFIG)
+                          for s in self.PAIR)
+            try:
+                diagnosis = diagnose_causes(graph, record.test_case, db_a, db_b)
+            except CauseAttributionError:
+                diagnosis = "unattributed"
+            rows.append((len(db_b), diagnosis, verdict))
+        return graph, str(snap), reference, rows
+
+    @pytest.mark.parametrize("cap, flag", [(None, "none"), ("median", "median"),
+                                           (3, "3")])
+    def test_matches_a_case_by_case_diagnosis_and_the_cli(
+        self, corpus, tmp_path, cap, flag
+    ):
+        graph, snap, reference, rows = corpus
+        result = ExperimentResult(*self.PAIR, False)
+        tables, summary = analyze_branches(graph, self.CONFIG, result, cap,
+                                           multi_threshold=3)
+        assert result.verdicts == reference.verdicts
+        assert result.errors == reference.errors == []
+
+        limit = median_cap([size for size, _, _ in rows]) if cap == "median" else cap
+        kept = [(d, v) for size, d, v in rows if limit is None or size <= limit]
+        pairs = [(d, v) for d, v in kept if isinstance(d, CausalDiagnosis)]
+        equal = sum(d is None for d, _ in kept)
+        unattributed = sum(d == "unattributed" for d, _ in kept)
+        assert summary["cap"] == limit
+        assert summary["cases_evaluated"] == len(rows)
+        assert summary["cases_diagnosed"] == len(pairs) > 0
+        assert summary["cases_after_cap"] == len(pairs) + equal + unattributed
+        assert (summary["cases_equal_collections"],
+                summary["cases_unattributed"]) == (equal, unattributed)
+
+        expected = {}
+        for characteristic in ("branch_length", "merge_size"):
+            for cohort, suffix in ((Cohort.SINGLE, "single"),
+                                   (Cohort.SIX_PLUS, "six_plus")):
+                expected[f"winner_rate_{characteristic}_{suffix}.csv"] = (
+                    winner_rate_table(pairs, characteristic, cohort,
+                                      multi_threshold=3))
+        assert list(tables) == list(expected)
+        assert tables == expected
+        assert any(tables.values())
+
+        out = tmp_path / "out"
+        assert main(["analyze-branches", "--snapshot", snap, "--out", str(out),
+                     "--cap", flag, "--multi-threshold", "3"]) == 0
+        assert json.loads((out / "branch_analysis.json").read_text()) == summary
 
 
 class TestEligibleMerges:

@@ -640,28 +640,48 @@ class TestConfigFileErrors:
         (b"1" * 5000, ": "),  # longer than int() converts
     ]
 
+    COMMANDS = ["recommend", "evaluate", "analyze-branches", "analyze-cochange",
+                "sample-merges"]
+
+    @staticmethod
+    def argv(command, snap, cfg, out):
+        argv = [command, "--snapshot", snap, "--config", str(cfg)]
+        if command == "recommend":
+            argv += ["--strategy", "full", "--at", hid("T"), "--files", "a"]
+        else:
+            argv += ["--out", str(out)]
+        if command == "evaluate":
+            argv += ["--pair", "full,fp-merge"]
+        return argv
+
     @pytest.mark.parametrize("content, message", CONTENTS)
-    @pytest.mark.parametrize("command", [
-        "recommend", "evaluate", "analyze-branches", "analyze-cochange",
-        "sample-merges",
-    ])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_is_data_error_naming_the_file(
         self, tmp_path, capsys, command, content, message
     ):
         snap = snap_of(coupled_graph(), tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
-        argv = [command, "--snapshot", snap, "--config", str(cfg)]
-        if command == "recommend":
-            argv += ["--strategy", "full", "--at", hid("T"), "--files", "a"]
-        else:
-            argv += ["--out", str(tmp_path / "out")]
-        if command == "evaluate":
-            argv += ["--pair", "full,fp-merge"]
-        assert main(argv) == 2
+        assert main(self.argv(command, snap, cfg, tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cochange: error: {cfg}{message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_is_data_error_before_the_snapshot_is_read(
+        self, tmp_path, capsys, command
+    ):
+        # Misspelt keys next to one that every command reads; the first
+        # unknown key in sorted order is named.
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps({"minsupp": "1/2", "max_rule": 1,
+                                   "output_dir": str(out)}))
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(self.argv(command, missing, cfg, out)) == 2
+        assert capsys.readouterr().err == (
+            f"cochange: error: {cfg}: unknown config key 'max_rule'\n")
+        assert not out.exists()
 
 
 class TestAnalyzeBranches:
