@@ -23,7 +23,7 @@ from .history import (
     branch_commits,
     merge_commit_size,
 )
-from .evaluation import ExperimentResult, PairedVerdict, TestCase, _scored_cases
+from .evaluation import ExperimentResult, PairedVerdict, TestCase, _mean, _scored_cases
 from .mining import Transaction
 from .recommend import RecommenderConfig
 
@@ -295,18 +295,17 @@ def _future(graph: CommitGraph, merge: str, horizon: int) -> list[frozenset[str]
     """Changesets of the ``horizon`` commits nearest after ``merge``:
     its descendants by parent-edge distance, then timestamp, then id.
     Each distance level is found and sorted only while it is needed."""
-    commits, children = graph.commits, graph._children
+    children, rank = graph._children, graph._rank
     seen = {merge}
     level = [merge]
     nearest: list[str] = []
     while level and len(nearest) < horizon:
         level = sorted(
-            {kid for cid in level for kid in children[cid]} - seen,
-            key=lambda cid: (commits[cid].author_timestamp, cid),
+            {kid for cid in level for kid in children[cid]} - seen, key=rank.__getitem__
         )
         seen.update(level)
         nearest += level
-    return [commits[cid].changeset for cid in nearest[:horizon]]
+    return [graph.commits[cid].changeset for cid in nearest[:horizon]]
 
 
 def future_oracle(
@@ -365,23 +364,23 @@ def cochange_study(
         info = branch_info(graph, merge)
         merge_changeset = graph.commits[merge].changeset
         branch_changesets = [graph.commits[b].changeset for b in info.branch_commit_ids]
-        targets = merge_changeset.union(*branch_changesets)
+        targets = sorted(merge_changeset.union(*branch_changesets))
+        oracles = {target: cochanged_files(future, target) for target in targets}
         for mode, sources in (
             (CochangeMode.FROM_MERGE, [merge_changeset]),
             (CochangeMode.FROM_BRANCH, branch_changesets),
         ):
             per_file: dict[str, Fraction] = {}
-            for target in sorted(targets):
+            for target in targets:
                 changed = cochanged_files(sources, target)
                 if not changed:
                     diag.files_skipped_empty_changed += 1
                     continue
-                oracle = cochanged_files(future, target)
-                per_file[target] = precision(changed, oracle)
+                per_file[target] = precision(changed, oracles[target])
             if not per_file:
                 diag.modes_skipped_empty += 1
                 continue
-            mean = Fraction(sum(per_file.values()), len(per_file))
+            mean = _mean(per_file.values())
             records.append(
                 (PrecisionRecord(merge, mode, per_file, mean), info)
             )

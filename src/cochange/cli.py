@@ -309,14 +309,21 @@ def _build_recommender_config(
 def _load_for_output(args, file_config: dict):
     """The loaded snapshot and the output directory: ``--out``, then the
     environment, then ``output_dir``.  The directory is resolved before
-    the snapshot is read and created only once it has loaded."""
+    the snapshot is read and created only once it has loaded.  An empty
+    environment value counts as unset; an empty ``--out`` or
+    ``output_dir`` is refused, since ``Path("")`` is the working
+    directory."""
     out = getattr(args, "out", None)
+    if out == "":
+        raise SystemExit(_error("--out must name a directory"))
     if out is None:
-        out = os.environ.get(OUTPUT_DIR_ENV)
+        out = os.environ.get(OUTPUT_DIR_ENV) or None
     if out is None:
         out = file_config.get("output_dir")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"config key 'output_dir' must be a string: {out!r}")
+        if out == "":
+            raise ValueError("config key 'output_dir' must name a directory")
     if out is None:
         raise SystemExit(_error(
             "no output directory: pass --out, set "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
+from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
 from .history import CommitGraph, Strategy, _entry, _newest_first, ancestors_first_parent
 from .mining import Transaction
@@ -283,12 +283,12 @@ def aggregate_rates(
         Fraction(by_outcome[Outcome.SUCCESS], n),
         Fraction(by_outcome[Outcome.FAILURE], n),
         Fraction(by_outcome[Outcome.NO_PREDICTION], n),
-        Fraction(sum(r.n_recommendations for r in records), n),
-        Fraction(sum(r.n_rules for r in records), n),
+        _mean([r.n_recommendations for r in records]),
+        _mean([r.n_rules for r in records]),
     )
 
 
-def _mean(values: Sequence[Fraction]) -> Fraction:
+def _mean(values: Collection[Fraction | int]) -> Fraction:
     """The exact mean of ``values``, building one ``Fraction``: each
     numerator is added to a running total for its denominator, and the
     totals meet over the lcm of those denominators."""
@@ -296,8 +296,8 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
     for v in values:
         totals[v.denominator] += v.numerator
     den = math.lcm(*totals)
-    return Fraction(sum(num * (den // d) for d, num in totals.items()),
-                    den * len(values))
+    total = sum(num * (den // d) for d, num in totals.items())
+    return Fraction(total, den * len(values))
 
 
 def map_all(records: Sequence[EvaluationRecord]) -> Fraction:
@@ -408,6 +408,8 @@ def wilcoxon_signed_rank(
     scaled by the lcm of every value's denominator: scaling keeps their
     order and ties, so the ranks are those of the exact differences.
     """
+    if method not in ("auto", "exact", "approx"):
+        raise ValueError(f"unknown signed-rank method: {method!r}")
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v)
               for a, b in pairs for v in (a, b)]
     den = math.lcm(*{v.denominator for v in values})

@@ -321,23 +321,19 @@ class CommitGraph:
         parent when that parent is present.  ``m`` is on ``c``'s
         first-parent chain, ``c`` itself excluded, exactly when
         ``enter[m] < enter[c]`` and ``last[c] <= last[m]``."""
-        commits = self.commits
-        kids: dict[str, list[str]] = {cid: [] for cid in commits}
-        stack: list[str] = []
-        for cid, c in commits.items():
-            if c.parents and c.parents[0] in kids:
-                kids[c.parents[0]].append(cid)
-            else:
-                stack.append(cid)
+        commits, children = self.commits, self._children
+        stack = [cid for cid, c in commits.items()
+                 if not c.parents or c.parents[0] not in commits]
         order: list[str] = []  # preorder: every subtree is one run
         while stack:
             cid = stack.pop()
             order.append(cid)
-            stack.extend(kids[cid])
+            stack.extend(k for k in children[cid] if commits[k].parents[0] == cid)
         size = dict.fromkeys(order, 1)
-        for cid in reversed(order):
-            for kid in kids[cid]:
-                size[cid] += size[kid]
+        for cid in reversed(order):  # each subtree before its root
+            ps = commits[cid].parents
+            if ps and ps[0] in size:
+                size[ps[0]] += size[cid]
         return {cid: (i, i + size[cid] - 1) for i, cid in enumerate(order)}
 
     @cached_property

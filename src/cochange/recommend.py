@@ -192,26 +192,3 @@ def recommend(
         entries.append(RecommendationEntry(key[4], rule.support, rule))
     return Recommendation(tuple(entries), strategy)
 
-
-def paired_recommend(
-    graph: CommitGraph,
-    query: Query,
-    strategies: tuple[Strategy, Strategy],
-    config: RecommenderConfig,
-    fairness: bool,
-) -> tuple[Recommendation, Recommendation]:
-    """Run two strategies on the same query.
-
-    With ``fairness`` on, both entry lists are truncated to the shorter
-    length so neither side benefits from sheer volume.
-    """
-    a, b = strategies
-    if a is b:
-        raise ValueError("paired_recommend needs two distinct strategies")
-    rec_a = recommend(graph, query, a, config)
-    rec_b = recommend(graph, query, b, config)
-    if fairness:
-        cut = min(len(rec_a.entries), len(rec_b.entries))
-        rec_a = Recommendation(rec_a.entries[:cut], a)
-        rec_b = Recommendation(rec_b.entries[:cut], b)
-    return rec_a, rec_b

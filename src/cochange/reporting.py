@@ -28,6 +28,7 @@ from .evaluation import (
     ExperimentResult,
     PairedVerdict,
     _compare,
+    _mean,
     aggregate_rates,
     map_all,
     map_app,
@@ -191,7 +192,7 @@ def precision_summary(
     for mode, values in sorted(per_mode.items()):
         modes[mode] = {
             "merges": len(values),
-            "mean_precision": frac_json(Fraction(sum(values), len(values))),
+            "mean_precision": frac_json(_mean(values)),
         }
     return {
         "horizon": horizon,

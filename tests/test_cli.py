@@ -523,6 +523,45 @@ class TestOutputDirResolution:
         assert code == 0
         assert (target / "summary.json").exists()
 
+    @pytest.mark.parametrize("snapshot", ["present", "missing"])
+    @pytest.mark.parametrize("source, code, message", [
+        ("flag", 1, "--out must name a directory"),
+        ("env", 1, f"no output directory: pass --out, set {OUTPUT_DIR_ENV}, "
+                   "or put output_dir in the config file"),
+        ("config", 2, "config key 'output_dir' must name a directory"),
+    ])
+    @pytest.mark.parametrize("argv", WRITING, ids=lambda argv: argv[0])
+    def test_empty_output_dir_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, source, code, message, snapshot
+    ):
+        # Path("") is the working directory: an empty value must not reach it,
+        # and is refused before the snapshot is read.
+        snap = (snap_of(branchy_graph(), tmp_path) if snapshot == "present"
+                else str(tmp_path / "missing.jsonl"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": ""} if source == "config" else {}))
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "")
+        extra = ["--out", ""] if source == "flag" else []
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([*argv, "--snapshot", snap, "--config", str(cfg), *extra]) == code
+        assert capsys.readouterr().err == f"cochange: error: {message}\n"
+        assert list(work.iterdir()) == []
+
+    def test_empty_env_var_falls_back_to_config(self, tmp_path, monkeypatch):
+        snap = snap_of(branchy_graph(), tmp_path)
+        target = tmp_path / "from-config"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": str(target)}))
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([*self.ARGS, "--snapshot", snap, "--config", str(cfg)]) == 0
+        assert (target / "summary.json").exists()
+        assert list(work.iterdir()) == []
+
 
 class TestConfigPrecedence:
     def recommend(self, snap, *extra):

@@ -368,6 +368,14 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(pairs, method="exact")
 
+    @pytest.mark.parametrize("pairs", [
+        [(2, 1)] * 6 + [(1, 2)],  # exact p 0.125; the approximation's is 0.0726
+        [(1, 1), (2, 2)],  # all-zero differences return before any method runs
+    ], ids=["non-zero", "all-zero"])
+    def test_unknown_method_is_refused(self, pairs):
+        with pytest.raises(ValueError, match="'exakt'"):
+            wilcoxon_signed_rank(pairs, method="exakt")
+
     def test_exact_and_approx_agree_on_most_samples(self):
         rng = random.Random(2024)
         deviations = []

@@ -12,7 +12,6 @@ from cochange import (
     collect_commits,
     filter_rules,
     generate_test_cases,
-    paired_recommend,
     recommend,
     single_consequent_rules,
 )
@@ -331,59 +330,9 @@ class TestThresholdsStayGuarded:
             dataclasses.replace(RecommenderConfig(), **{field: value})
 
 
-class TestPairedRecommend:
-    def fork_graph(self):
-        commits = [
-            mk_commit("R", [], 1, ["p", "w"]),
-            mk_commit("B1", ["R"], 2, ["p", "u"]),
-            mk_commit("B2", ["B1"], 3, ["p", "v"]),
-            mk_commit(
-                "M",
-                ["R", "B2"],
-                4,
-                ["p", "u", "v"],
-                {"p": (False, True), "u": (False, True), "v": (False, True)},
-            ),
-            mk_commit("T", ["M"], 5, ["t"]),
-        ]
-        return build_graph(commits, "T")
-
-    def test_fairness_truncates_to_shorter_list(self):
-        graph = self.fork_graph()
-        query = Query(frozenset({"p"}), hid("T"))
-        pair = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
-        rec_a, rec_b = paired_recommend(
-            graph, query, pair, RecommenderConfig(), fairness=True
-        )
-        assert len(rec_a.entries) == len(rec_b.entries) == 1
-        assert rec_a.entries[0].file == "u"
-        assert rec_b.entries[0].file == "w"
-
-    def test_no_fairness_keeps_full_lists(self):
-        graph = self.fork_graph()
-        query = Query(frozenset({"p"}), hid("T"))
-        pair = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
-        rec_a, rec_b = paired_recommend(
-            graph, query, pair, RecommenderConfig(), fairness=False
-        )
-        assert [e.file for e in rec_a.entries] == ["u", "v", "w"]
-        assert [e.file for e in rec_b.entries] == ["w"]
-
-    def test_distinct_strategies_required(self):
-        graph = self.fork_graph()
-        with pytest.raises(ValueError):
-            paired_recommend(
-                graph,
-                Query(frozenset({"p"}), hid("T")),
-                (Strategy.FULL, Strategy.FULL),
-                RecommenderConfig(),
-                fairness=True,
-            )
-
-
 class TestRecommendAgainstReference:
-    """``recommend`` and ``paired_recommend`` against collecting and
-    building every rule, on the case queries of head-chain commits."""
+    """``recommend`` against collecting and building every rule, on the
+    case queries of head-chain commits."""
 
     @settings(max_examples=40)
     @given(drawn=evaluation_inputs())
@@ -392,21 +341,10 @@ class TestRecommendAgainstReference:
         for commit in ancestors_first_parent(graph, graph.head):
             for case in generate_test_cases(graph, commit, config.max_changeset_size):
                 query = Query(case.query, commit)
-                expected = [
-                    reference_pipeline(
+                for s in strategies:
+                    entries = reference_pipeline(
                         collect_commits(graph, query, s, config), query.files, config
                     )[2]
-                    for s in strategies
-                ]
-                for s, entries in zip(strategies, expected):
                     rec = recommend(graph, query, s, config)
                     assert rec.strategy is s
                     assert [(e.file, e.score, e.via_rule) for e in rec.entries] == entries
-                for fairness in (False, True):
-                    cut = min(map(len, expected)) if fairness else None
-                    recs = paired_recommend(graph, query, strategies, config, fairness)
-                    for rec, s, entries in zip(recs, strategies, expected):
-                        assert rec.strategy is s
-                        assert [
-                            (e.file, e.score, e.via_rule) for e in rec.entries
-                        ] == entries[:cut]
