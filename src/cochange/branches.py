@@ -223,11 +223,11 @@ def analyze_branches(
     the sizes.  Returns the four winner-rate tables, keyed by their CSV
     file names, and the summary written as ``branch_analysis.json``.
     """
-    # One constant-size row per case, in case order (winner_rate_table
-    # breaks ties by position): first-parent collection size, diagnosis
-    # (None for equal collections, CauseAttributionError when no merge
-    # explains the difference), verdict.  The collections themselves are
-    # dropped as soon as the case is diagnosed.
+    # One row per case, in case order (winner_rate_table breaks ties by
+    # position): first-parent collection size, diagnosis (None for equal
+    # collections, CauseAttributionError when no merge explains the
+    # difference), verdict.  The collections are dropped once the case is
+    # diagnosed, but each diagnosis keeps its causing_merges frozenset.
     rows = []
     for case, run_a, run_b, verdict in _scored_cases(graph, config, result):
         try:

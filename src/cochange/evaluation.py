@@ -438,6 +438,15 @@ METRICS: tuple[Metric, ...] = get_args(Metric)  # the order summaries list them 
 ALPHA = 0.05
 
 
+def _verdict(metric: Metric, a, b, p_value: float | None) -> PairedVerdict:
+    """The repo-level verdict under ``metric``, read off each strategy's
+    figure for it: the greater one wins, and under ``map_all`` only when
+    the signed-rank ``p_value`` is below ``ALPHA``."""
+    if metric == "map_all" and (p_value is None or p_value >= ALPHA):
+        return PairedVerdict.DRAW  # not significant
+    return _compare(a, b)
+
+
 def repo_level_winner(
     records_a: Sequence[EvaluationRecord],
     records_b: Sequence[EvaluationRecord],

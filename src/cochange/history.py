@@ -141,16 +141,10 @@ class Commit:
     merge_eq: Mapping[str, tuple[bool, ...]] | None = None
 
     def __post_init__(self) -> None:
-        parents = self.parents
-        if type(parents) is not tuple:
-            parents = tuple(parents)
-            object.__setattr__(self, "parents", parents)
-        changeset = self.changeset
-        if type(changeset) is not frozenset:
-            changeset = frozenset(changeset)
-            object.__setattr__(self, "changeset", changeset)
+        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "changeset", frozenset(self.changeset))
         object.__setattr__(self, "merge_eq", _check_commit(
-            self.id, parents, self.author_timestamp, changeset, self.merge_eq
+            self.id, self.parents, self.author_timestamp, self.changeset, self.merge_eq
         ))
 
     @classmethod
@@ -261,25 +255,18 @@ class CommitGraph:
                         f"commit {cid} references unknown parent {p} "
                         "(not a commit, not a boundary)"
                     )
-        # Kahn's count: a commit on a cycle, or below one, never frees up.
-        parents = self._parents
-        pending = dict.fromkeys(parents, 0)
-        for ps in parents.values():
-            for p in ps:
-                pending[p] += 1
-        ready = [cid for cid, n in pending.items() if n == 0]
-        order: list[str] = []
-        while ready:
-            cid = ready.pop()
-            order.append(cid)
-            for p in parents[cid]:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    ready.append(p)
-        if len(order) != len(self.commits):
+        # a commit on a cycle, or below one, never leaves the walk's heap
+        if len(self._newest_first_order) != len(self.commits):
             raise ValueError("commit graph contains a cycle")
-        # Every commit, children before parents, in no particular tie order.
-        object.__setattr__(self, "_children_first", order)
+        object.__setattr__(self, "_children_first", self._newest_first_order)
+
+    @cached_property
+    def _newest_first_order(self) -> list[str]:
+        """The walk of every commit from the ones no commit names as a
+        parent: children first, ties by descending (author_timestamp, id).
+        On a cycle it stops short of the commits the cycle holds up."""
+        parented = {p for ps in self._parents.values() for p in ps}
+        return _newest_first(self, [c for c in self.commits if c not in parented])[0]
 
     @cached_property
     def _rank(self) -> dict[str, int]:
@@ -440,7 +427,8 @@ def _newest_first(
     The heap always holds the commits of the remaining set that have no
     child in it, so the rest of a walk depends only on the remaining set.
     Once every commit missing from ``old`` is out and the old commits out
-    are its ``k`` newest, both remaining sets are equal.
+    are its ``k`` newest, both remaining sets are equal.  Only a cycle
+    empties the heap early; the walk then ends with the commits out.
     """
     parents, rank = graph._parents, graph._rank
     pending: dict[str, int] = {}  # each commit's children not yet out
@@ -460,7 +448,7 @@ def _newest_first(
     heapq.heapify(heap)
     size, k, lowest = len(old), 0, len(old)
     out: list[str] = []
-    while left or lowest < size - k:
+    while heap and (left or lowest < size - k):
         cid = heapq.heappop(heap)[1]
         out.append(cid)
         if cid in old:

@@ -13,9 +13,7 @@ import json.scanner
 import subprocess
 from pathlib import Path
 
-from .history import (
-    Commit, CommitGraph, _check_commit, _newest_first, validate_commit_id,
-)
+from .history import Commit, CommitGraph, _check_commit, validate_commit_id
 
 FORMAT_VERSION = 1
 
@@ -47,9 +45,7 @@ def save_snapshot(graph: CommitGraph, path: str | Path) -> None:
             "boundaries": sorted(graph.boundaries),
         })
     ]
-    parented = {p for ps in graph._parents.values() for p in ps}
-    tips = [cid for cid in graph.commits if cid not in parented]
-    for cid in reversed(_newest_first(graph, tips)[0]):
+    for cid in reversed(graph._newest_first_order):
         c = graph.commits[cid]
         lines.append(_encode({
             "id": c.id,

@@ -22,13 +22,12 @@ from .branches import (
     WinnerRateBin,
 )
 from .evaluation import (
-    ALPHA,
     METRICS,
     EvaluationRecord,
     ExperimentResult,
     PairedVerdict,
-    _compare,
     _mean,
+    _verdict,
     aggregate_rates,
     map_all,
     map_app,
@@ -48,9 +47,7 @@ RECORD_COLUMNS = [
 ]
 
 
-def frac_json(value: Fraction | None) -> dict | None:
-    if value is None:
-        return None
+def frac_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
@@ -113,7 +110,7 @@ def _strategy_figures(records: Sequence[EvaluationRecord], wins: int) -> dict:
 
 def summarize_experiment(result: ExperimentResult) -> dict:
     """JSON-ready summary of one paired evaluation run: each figure is computed
-    once, and the winners are read off them by ``repo_level_winner``'s rules."""
+    once, and ``_verdict`` reads the winners off them."""
     a, b = result.strategy_a, result.strategy_b
     tally = Counter(result.verdicts)
     fig_a = _strategy_figures(result.records_a, tally[PairedVerdict.WIN_A])
@@ -142,9 +139,7 @@ def summarize_experiment(result: ExperimentResult) -> dict:
             for ra, rb in zip(result.records_a, result.records_b)
         ])
         summary["wilcoxon_map"] = stat._asdict()
-        verdicts = {m: _compare(fig_a[m], fig_b[m]) for m in METRICS}
-        if stat.p_value is None or stat.p_value >= ALPHA:
-            verdicts["map_all"] = PairedVerdict.DRAW  # not significant
+        verdicts = {m: _verdict(m, fig_a[m], fig_b[m], stat.p_value) for m in METRICS}
         names = {PairedVerdict.WIN_A: a.value, PairedVerdict.WIN_B: b.value}
         summary["repo_winner"] = {m: names.get(v, "draw") for m, v in verdicts.items()}
     return summary
@@ -247,15 +242,17 @@ class _Fields:
     def nested(self, key, kind: type = dict) -> "_Fields":
         return _Fields(self(key, kind), f"{self.path}{key}.")
 
-    def fraction(self, key) -> float | None:
-        """A ``frac_json`` rational, or null, as a float."""
-        if self(key, dict, type(None)) is None:
+    def fraction(self, key, nullable: bool = True) -> Fraction | None:
+        """A ``frac_json`` rational that a float can hold, or null if ``nullable``."""
+        if self(key, dict, *[type(None)] * nullable) is None:
             return None
         frac = self.nested(key)
         try:
-            return frac("num", int) / frac("den", int)
+            value = Fraction(frac("num", int), frac("den", int))
+            float(value)
         except (ZeroDivisionError, OverflowError):
             raise ValueError(f"{self.path}{key}: not a finite rational") from None
+        return value
 
 
 # (per-strategy key, column heading, width) of each rate in the table.
@@ -269,7 +266,8 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
     """One summary's table lines and its repo winners (None without
     events), every field read through ``_Fields``.  The figures must
     agree: each strategy's events and the wins plus draws equal
-    ``events``, and each winner is a strategy of the pair or ``draw``."""
+    ``events``, and each winner is the one ``_verdict`` reads off the
+    strategies' figures and the signed-rank p-value."""
     s = _Fields(summary)
     pair = s.nested("strategy_pair", list)
     if len(pair.container) != 2 or pair.container[0] == pair.container[1]:
@@ -290,7 +288,7 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
             f"{'strategy':<14}{'events':>8}"
             + "".join(f"{head:>{w}}" for _, head, w in _RATE_COLUMNS) + f"{'wins':>6}"]
     per_strategy = s.nested("per_strategy")
-    wins = []
+    figures = []  # each strategy's rates and wins
     for name in names:
         if name not in per_strategy.container:
             raise ValueError(f"strategy_pair: {name!r} is not in per_strategy")
@@ -298,13 +296,14 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
         if f("events", int) != events:
             raise ValueError(
                 f"per_strategy.{name}.events: must equal events ({events})")
-        wins.append(f("wins", int))
+        fig = {"wins": f("wins", int)}  # the rates a verdict reads are never null
+        fig.update((key, f.fraction(key, key not in METRICS)) for key, _, _ in _RATE_COLUMNS)
+        figures.append(fig)
         out.append(f"{name:<14}{events:>8}"
-                   + "".join(f"{fmt_decimal(f.fraction(key)):>{w}}"
-                             for key, _, w in _RATE_COLUMNS)
-                   + f"{wins[-1]:>6}")
+                   + "".join(f"{fmt_decimal(fig[key]):>{w}}" for key, _, w in _RATE_COLUMNS)
+                   + f"{fig['wins']:>6}")
     draws = s("draws", int)
-    if sum(wins) + draws != events:
+    if sum(fig["wins"] for fig in figures) + draws != events:
         raise ValueError(f"per_strategy.{names[0]}.wins + per_strategy.{names[1]}.wins"
                          f" + draws: must add up to events ({events})")
     out.append(f"draws: {draws}")
@@ -315,10 +314,16 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
                    f"{wilcoxon('statistic', float):.1f} p={p_value:.5f}")
     winner = s.nested("repo_winner")
     winners = {metric: winner(metric, str) for metric in METRICS}
+    by_verdict = {PairedVerdict.WIN_A: names[0], PairedVerdict.WIN_B: names[1]}
     for metric, name in winners.items():
         if name not in (*names, "draw"):
             raise ValueError(f"repo_winner.{metric}: must name a strategy of "
                              "strategy_pair or draw")
+        a, b = (fig[metric] for fig in figures)
+        expected = by_verdict.get(_verdict(metric, a, b, p_value), "draw")
+        if name != expected:
+            raise ValueError(f"repo_winner.{metric}: {name} contradicts "
+                             f"per_strategy and wilcoxon_map, which give {expected}")
     out.append("repo winner: " + "  ".join(f"{m}={n}" for m, n in winners.items()))
     return out + [""], winners
 

@@ -1211,6 +1211,26 @@ class TestReport:
         (("per_strategy", "fp-merge", "events"), 35,
          "per_strategy.fp-merge.events: must equal events (34)"),
         (("strategy_pair", 1), "full", "strategy_pair: must name two strategies"),
+        # a winner other than the figures give, one case per metric: full
+        # has the greater success rate and wins, and map_all's p is 0.0625
+        (("repo_winner", "success_rate"), "fp-merge",
+         "repo_winner.success_rate: fp-merge contradicts per_strategy and "
+         "wilcoxon_map, which give full"),
+        (("repo_winner", "wins"), "draw",
+         "repo_winner.wins: draw contradicts per_strategy and wilcoxon_map, "
+         "which give full"),
+        (("repo_winner", "map_all"), "full",
+         "repo_winner.map_all: full contradicts per_strategy and wilcoxon_map, "
+         "which give draw"),
+        (("wilcoxon_map", "p_value"), 0.01,
+         "repo_winner.map_all: draw contradicts per_strategy and wilcoxon_map, "
+         "which give full"),
+        (("per_strategy", "full", "map_all"), {"num": 1, "den": 0},
+         "per_strategy.full.map_all: not a finite rational"),
+        (("per_strategy", "full", "map_all"), {"num": 10**400, "den": 1},
+         "per_strategy.full.map_all: not a finite rational"),
+        (("per_strategy", "full", "success_rate"), None,
+         "per_strategy.full.success_rate: must be an object"),
     ])
     def test_figures_that_disagree_are_data_error(
         self, real_summary, tmp_path, capsys, keys, value, message
@@ -1228,6 +1248,27 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"cochange: error: {bad}: {message}\n"
+
+    def test_winners_are_checked_against_the_figures(self, real_summary, tmp_path, capsys):
+        _, summary = real_summary
+        summary = copy.deepcopy(summary)
+        assert summary["repo_winner"] == {
+            "success_rate": "full", "map_all": "draw", "wins": "full"}
+        path = tmp_path / "s.json"
+        # every winner set to fp-merge: refused at the first metric
+        summary["repo_winner"] = dict.fromkeys(summary["repo_winner"], "fp-merge")
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"cochange: error: {path}: repo_winner.success_rate: fp-merge contradicts")
+        # below alpha the greater map_all wins
+        summary["repo_winner"] = {"success_rate": "full", "map_all": "full",
+                                  "wins": "full"}
+        summary["wilcoxon_map"]["p_value"] = 0.01
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(path)]) == 0
+        assert "repo winner: success_rate=full  map_all=full  wins=full" in (
+            capsys.readouterr().out)
 
 
 @pytest.fixture(scope="module")

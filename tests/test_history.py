@@ -169,12 +169,6 @@ class TestValidation:
             with pytest.raises(ValueError, match="^commit graph contains a cycle$"):
                 CommitGraph.from_commits(commits, head=hid(head))
 
-    def test_validation_leaves_the_walk_order_unbuilt(self):
-        graph = build_graph(
-            [mk_commit("A", [], 1, ["a"]), mk_commit("B", ["A"], 2, ["b"])], "B"
-        )
-        assert "_rank" not in vars(graph)
-
     @pytest.mark.parametrize("where", ["id", "parent", "boundary"])
     def test_trailing_newline_is_not_a_commit_id(self, where):
         bad = hid("A") + "\n"

@@ -969,6 +969,56 @@ class TestLoadedGraphIndexes:
         assert_indexes_match_a_validated_graph(loaded)
 
 
+def skewed_graph():
+    """R -> A1 (ts 5) -> A2 (ts 3) and R -> B1 (ts 2) -> B2 (ts 6), merged
+    by M: the newest-first walk leaves each branch half done in turn."""
+    return build_graph([
+        mk_commit("R", [], 1, ["r"]),
+        mk_commit("A1", ["R"], 5, ["a1"]),
+        mk_commit("A2", ["A1"], 3, ["a2"]),
+        mk_commit("B1", ["R"], 2, ["b1"]),
+        mk_commit("B2", ["B1"], 6, ["b2"]),
+        mk_commit("M", ["A2", "B2"], 7, ["b1", "b2"],
+                  {"b1": (False, True), "b2": (False, True)}),
+    ], "M")
+
+
+def saved_ids(graph, path):
+    save_snapshot(graph, path)
+    return [json.loads(raw)["id"] for raw in path.read_text().splitlines()[1:]]
+
+
+class TestOneWalkOrder:
+    """A validated graph's children-first order is the newest-first walk
+    that ``save_snapshot`` writes, reversed."""
+
+    @settings(max_examples=200)
+    @given(graph=random_dags())
+    def test_random_dags(self, saved_snapshot, graph):
+        directory, _ = saved_snapshot
+        ids = saved_ids(graph, directory / "dag.jsonl")
+        assert graph._children_first == ids[::-1]
+
+    def test_skewed_branches(self, tmp_path):
+        graph = skewed_graph()
+        ids = saved_ids(graph, tmp_path / "snap.jsonl")
+        assert ids == [hid(t) for t in ("R", "B1", "A1", "A2", "B2", "M")]
+        assert graph._children_first == ids[::-1]
+
+    def test_other_parents_first_order_resaves_canonically(self, tmp_path):
+        graph = skewed_graph()
+        canonical = tmp_path / "canonical.jsonl"
+        save_snapshot(graph, canonical)
+        header, *records = canonical.read_text().splitlines()
+        by_id = {json.loads(raw)["id"]: raw for raw in records}
+        reordered = [by_id[hid(t)] for t in ("R", "B1", "B2", "A1", "A2", "M")]
+        assert reordered != records
+        loaded = load_snapshot(write_lines(tmp_path, [header, *reordered]))
+        assert loaded == graph
+        save_snapshot(loaded, tmp_path / "resaved.jsonl")
+        assert (tmp_path / "resaved.jsonl").read_bytes() == canonical.read_bytes()
+
+
 class TestLoadChecksOnce:
     def test_one_check_per_record_and_no_graph_validation(
         self, monkeypatch, tmp_path
