@@ -19,13 +19,13 @@ from operator import sub
 from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
 from .history import CommitGraph, Strategy, _entry, _newest_first, ancestors_first_parent
-from .mining import Transaction
+from .mining import Transaction, _ranked
 from .recommend import (
     Collector,
     PipelineRun,
     Recommendation,
     RecommenderConfig,
-    _run_pipeline,
+    _fire,
 )
 
 
@@ -111,7 +111,8 @@ class _ChainWalk:
     Construction splices in the chain commits, oldest first, so the walk
     ends at ``head``, and logs each splice.  ``at(commit)`` undoes
     splices back to an older chain commit; ``collect`` reads the history
-    strictly before the commit the walk is at.
+    strictly before the commit the walk is at, for all of its cases at
+    once.
     """
 
     def __init__(
@@ -171,25 +172,54 @@ class _ChainWalk:
             self._pop(pushed)
             self._push(removed)
 
-    def collect(self, files: frozenset[str]) -> list[Transaction]:
-        """``_collect(_walk_before(graph, commit, strategy), files,
-        config)`` for the commit the walk is at, read off the query
-        files' positions: up to ``max_commits`` of each below the commit's
-        own, found by bisection."""
+    def collect(
+        self, changeset: frozenset[str]
+    ) -> tuple[list[list[Transaction]], list[int]]:
+        """The collections of the leave-one-out cases of ``changeset``,
+        the changes of the commit the walk is at: the distinct lists, and
+        for each case, ordered by oracle as ``generate_test_cases`` orders
+        them, the index of its list.  A case's list is
+        ``_collect(_walk_before(graph, commit, strategy), changeset -
+        {oracle}, config)``.
+
+        Each changed file is bisected once: its slice is up to
+        ``max_commits`` of its positions below the commit's own, less the
+        oversized ones under the per-file collector (they took their slot
+        first).  A case's positions are the union of its query files'
+        slices: the union of every slice less the positions that only the
+        oracle's slice holds, newest first, which the sequential collector
+        cuts to ``max_commits``.  Cases whose positions agree share one
+        list."""
         config = self.config
         take = config.max_commits
+        sequential = config.collector is Collector.SEQUENTIAL
+        cap = config.max_changeset_size
         end = len(self._order) - 1
-        picked: set[int] = set()
-        for f in files:
+        transactions = self._transactions
+        # position -> the one file whose slice holds it, None when several do
+        only: dict[int, str | None] = {}
+        for f in changeset:
             at = self._positions.get(f)
             if at:
                 i = bisect_left(at, end)
-                picked.update(at[max(i - take, 0):i])
-        kept = [self._transactions[i] for i in sorted(picked, reverse=True)]
-        if config.collector is Collector.SEQUENTIAL:
-            return kept[:take]
-        cap = config.max_changeset_size
-        return [t for t in kept if len(t.files) <= cap]
+                for p in at[max(i - take, 0):i]:
+                    if sequential or len(transactions[p].files) <= cap:
+                        only[p] = None if p in only else f
+        newest = sorted(only, reverse=True)
+        owners = set(only.values())
+        lists: dict[tuple[int, ...], int] = {}
+        dbs: list[list[Transaction]] = []
+        index = []
+        for oracle in sorted(changeset):
+            kept = tuple([p for p in newest if only[p] != oracle]
+                         if oracle in owners else newest)
+            if sequential:
+                kept = kept[:take]
+            k = lists.setdefault(kept, len(dbs))
+            if k == len(dbs):
+                dbs.append([transactions[p] for p in kept])
+            index.append(k)
+        return dbs, index
 
 
 def _prepare_commit(
@@ -201,27 +231,30 @@ def _prepare_commit(
     """The first eligibility reason ``commit`` fails, or None and each of
     its test cases with both strategies' pipeline runs.  ``walks`` are
     both strategies' walks, already at ``commit``.  The reasons that need
-    only the collections are decided before anything is mined."""
+    only the collections are decided before anything is mined, and each
+    strategy ranks each distinct collection once; the fire test runs per
+    case."""
     cases = generate_test_cases(graph, commit, config.max_changeset_size)
     if not cases:
         return _REASON_SIZE, []
-    walk_a, walk_b = walks
-    collected = [
-        (case, walk_a.collect(case.query), walk_b.collect(case.query))
-        for case in cases
-    ]
-    if all(db_a == db_b for _, db_a, db_b in collected):
+    changeset = graph.commit(commit).changeset
+    collected = [walk.collect(changeset) for walk in walks]
+    (dbs_a, of_a), (dbs_b, of_b) = collected
+    if all(dbs_a[i] == dbs_b[j] for i, j in zip(of_a, of_b)):
         return _REASON_IDENTICAL, []
-    if not any(len(db) >= _MIN_TRANSACTIONS for _, *dbs in collected for db in dbs):
+    if not any(len(db) >= _MIN_TRANSACTIONS for dbs, _ in collected for db in dbs):
         return _REASON_TOO_FEW, []
-    rows = [
-        (case, _run_pipeline(db_a, case.query, config),
-         _run_pipeline(db_b, case.query, config))
-        for case, db_a, db_b in collected
+    ranked = [
+        [_ranked(db, config.minsup, config.minconf, config.max_rules) for db in dbs]
+        for dbs, _ in collected
     ]
-    if not any(run.n_rules for _, *runs in rows for run in runs):
+    if not any(best for bests in ranked for best in bests):
         return _REASON_NO_RULES, []
-    return None, rows
+    runs = [
+        [_fire(dbs[i], bests[i], case.query) for i, case in zip(of, cases)]
+        for (dbs, of), bests in zip(collected, ranked)
+    ]
+    return None, list(zip(cases, *runs))
 
 
 def eligible(

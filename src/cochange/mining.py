@@ -260,7 +260,8 @@ def _ranked(
 
     Each file's transactions are one bitmask, so an itemset's count is
     the popcount of its prefix's mask ANDed with its last file's mask
-    (Eclat's vertical tidsets).  With n fixed, support c_all/n and
+    (Eclat's vertical tidsets); the bits are laid out per distinct
+    changeset, so each is read once.  With n fixed, support c_all/n and
     confidence c_all/c_x rank exactly as the key.  The search counts
     every frequent itemset; keys are built only for the count levels
     that can reach the cut, and each level begun is keyed whole, since
@@ -270,11 +271,18 @@ def _ranked(
     sup_den, sup_need = minsup.denominator, minsup.numerator * n
     conf_den, conf_num = minconf.denominator, minconf.numerator
 
+    # Each distinct changeset is one run of bits, as wide as the number
+    # of transactions holding it, so every popcount is unchanged.
+    weights: dict[frozenset[str], int] = {}
+    for t in db:
+        weights[t.files] = weights.get(t.files, 0) + 1
     masks: dict[str, int] = {}
-    for i, t in enumerate(db):
-        bit = 1 << i
-        for f in t.files:
-            masks[f] = masks.get(f, 0) | bit
+    low = 0
+    for files, w in weights.items():
+        run = ((1 << w) - 1) << low
+        low += w
+        for f in files:
+            masks[f] = masks.get(f, 0) | run
 
     # Depth-first over frequent prefixes, each with its transaction mask
     # and the files after its last one that may extend it.

@@ -89,11 +89,13 @@ class Recommendation:
 
 @dataclass
 class PipelineRun:
-    """What one mining call produced, for callers that need the
-    intermediate stages (evaluation, diagnostics).  ``n_rules`` counts
-    the ranked rules kept (at most ``max_rules``), so it is 0 exactly
-    when no rule was mined.  ``fired`` holds the rank keys of the rules
-    that fired, best first."""
+    """What one query's mining produced, for callers that need the
+    intermediate stages (evaluation, diagnostics).  ``db`` is the
+    collection mined; the cases of one commit that collect the same
+    transactions share one list, so nothing may mutate it.  ``n_rules``
+    counts the ranked rules kept (at most ``max_rules``), so it is 0
+    exactly when no rule was mined.  ``fired`` holds the rank keys of the
+    rules that fired, best first."""
 
     db: list[Transaction]
     n_rules: int
@@ -152,17 +154,13 @@ def collect_commits(
     return _collect(walk, query.files, config)
 
 
-def _run_pipeline(
-    db: list[Transaction],
-    files: frozenset[str],
-    config: RecommenderConfig,
+def _fire(
+    db: list[Transaction], best: list[_RankKey], files: frozenset[str]
 ) -> PipelineRun:
-    """Mine and rank ``db``, the transactions collected for query ``files``.
-
-    Ranking and the fire test run on integer keys, and no rule is built:
-    a rule fires when its antecedent lies within ``files`` and its
-    consequent is new.  ``config``'s thresholds were validated already."""
-    best = _ranked(db, config.minsup, config.minconf, config.max_rules)
+    """The run of query ``files`` on ``db``, whose ranked keys are
+    ``best``.  The fire test reads integer keys, and no rule is built: a
+    rule fires when its antecedent lies within ``files`` and its
+    consequent is new."""
     fired: list[_RankKey] = []
     seen: set[str] = set()
     for key in best:
@@ -171,6 +169,17 @@ def _run_pipeline(
             seen.add(item)
             fired.append(key)
     return PipelineRun(db, len(best), tuple(fired))
+
+
+def _run_pipeline(
+    db: list[Transaction],
+    files: frozenset[str],
+    config: RecommenderConfig,
+) -> PipelineRun:
+    """Rank ``db``, the transactions collected for query ``files``, on
+    ``config``'s thresholds, validated already; then fire."""
+    best = _ranked(db, config.minsup, config.minconf, config.max_rules)
+    return _fire(db, best, files)
 
 
 def recommend(

@@ -43,7 +43,13 @@ from cochange import (
 )
 from cochange.cli import main
 import cochange.evaluation as evaluation_module
-from cochange.evaluation import METRICS, ExperimentResult, _ChainWalk, _scored_cases
+from cochange.evaluation import (
+    METRICS,
+    ExperimentResult,
+    _ChainWalk,
+    _prepare_commit,
+    _scored_cases,
+)
 from cochange.history import ancestors_all, ancestors_first_parent
 from cochange.recommend import (
     Collector,
@@ -795,10 +801,6 @@ class TestScoringBuildsNoRule:
 
 
 _POOL = ("a", "b", "c", "d", "e")
-# every single file and pair of the pool, and a file no commit changes
-_QUERIES = [frozenset({f}) for f in _POOL + ("z",)] + [
-    frozenset({f, g}) for i, f in enumerate(_POOL) for g in _POOL[i + 1:]
-]
 
 
 @st.composite
@@ -837,13 +839,67 @@ class TestChainWalkAgainstReference:
                 walk = _ChainWalk(graph, strategy, config, graph.head)
                 for commit, asks in chain:
                     walk.at(commit)
-                    if not asks:  # a commit without cases collects nothing
+                    cases = generate_test_cases(graph, commit)
+                    if not (asks and cases):  # a commit without cases collects nothing
                         continue
                     reference = _walk_before(graph, commit, strategy)
-                    for files in _QUERIES:
-                        assert walk.collect(files) == _collect(
-                            reference, files, config
-                        )
+                    dbs, index = walk.collect(graph.commit(commit).changeset)
+                    assert [dbs[i] for i in index] == [
+                        _collect(reference, case.query, config) for case in cases
+                    ]
+                    # one list per distinct collection, each one used
+                    assert len({tuple(db) for db in dbs}) == len(dbs)
+                    assert sorted(set(index)) == list(range(len(dbs)))
+
+    def test_cases_that_collect_alike_share_one_list_and_one_ranking(
+        self, monkeypatch
+    ):
+        #   A -- B -- C -- D -- M -- Q      (first parents)
+        #                   \   /
+        #                    S --
+        # Every commit before Q changes a and b together, except C, which
+        # changes c alone.  Q changes a, b and c, so its cases that hide a
+        # and b both query c and one of a, b: they collect the same
+        # transactions, and the case hiding c collects the others.  Full
+        # also collects the side commit S, which fp-no-merge skips.
+        graph = build_graph([
+            mk_commit("A", [], 1, ["a", "b"]),
+            mk_commit("B", ["A"], 2, ["a", "b"]),
+            mk_commit("C", ["B"], 3, ["c"]),
+            mk_commit("D", ["C"], 4, ["a", "b"]),
+            mk_commit("S", ["D"], 5, ["a", "b"]),
+            mk_commit("M", ["D", "S"], 6, ["a", "b"],
+                      {"a": (False, True), "b": (False, True)}),
+            mk_commit("Q", ["M"], 7, ["a", "b", "c"]),
+        ], "Q")
+        config = RecommenderConfig()
+        walks = tuple(_ChainWalk(graph, s, config, graph.head)
+                      for s in PAIR_NO_MERGE)
+        ranked = []
+        real = evaluation_module._ranked
+
+        def counted(db, *thresholds):
+            ranked.append(db)
+            return real(db, *thresholds)
+
+        monkeypatch.setattr(evaluation_module, "_ranked", counted)
+        reason, rows = _prepare_commit(graph, hid("Q"), walks, config)
+        assert reason is None
+        assert [case.oracle for case, _, _ in rows] == ["a", "b", "c"]
+        for k, strategy in enumerate(PAIR_NO_MERGE, 1):
+            hide_a, hide_b, hide_c = (row[k].db for row in rows)
+            assert hide_a is hide_b and hide_a != hide_c
+            assert hide_a == _collect(_walk_before(graph, hid("Q"), strategy),
+                                      rows[0][0].query, config)
+        assert rows[0][1].db != rows[0][2].db  # the strategies differ
+        # one ranking per distinct list per strategy: two each
+        expected = [rows[0][1].db, rows[2][1].db, rows[0][2].db, rows[2][2].db]
+        assert len(ranked) == 4
+        assert all(got is db for got, db in zip(ranked, expected))
+        monkeypatch.undo()
+        assert [row[1:] for row in rows] == [
+            row[1:] for row in mine_first(graph, hid("Q"), PAIR_NO_MERGE, config)[1]
+        ]
 
     def test_run_experiment_builds_no_strategy_walk(self, monkeypatch):
         #   A -- C -- M1 -- G -- M2 -- H     (first parents)

@@ -406,6 +406,40 @@ class TestLevelCut:
         )
 
 
+@st.composite
+def repeated_databases(draw):
+    """1-4 distinct changesets over up to six files, each repeated 1-120
+    times, in shuffled order: each distinct changeset is one run of bits
+    in ``_ranked``'s masks, up to 120 wide."""
+    pool = draw(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1),
+                         min_size=1, max_size=4, unique=True))
+    picks = [files for files in pool for _ in range(draw(st.integers(1, 120)))]
+    draw(st.randoms(use_true_random=False)).shuffle(picks)
+    return tx(*picks)
+
+
+class TestMaskRuns:
+    @settings(max_examples=150)
+    @given(
+        db=repeated_databases(),
+        minsup=st.one_of(st.just(Fraction(1, 480)), thresholds()),
+        minconf=st.one_of(st.just(Fraction(1, 480)), thresholds()),
+        max_rules=st.integers(1, 40),
+    )
+    def test_repeated_changesets_match_reference(self, db, minsup, minconf, max_rules):
+        assert ranked_rules(db, minsup, minconf, max_rules) == filter_rules(
+            single_consequent_rules(db, minsup, minconf), max_rules
+        )
+
+    def test_interleaved_repeats_count_every_transaction(self):
+        # 120 of {a, b} and 70 of {a}, alternating while both last: a
+        # run per changeset must still count a in all 190.
+        db = tx(*[{"a", "b"}, {"a"}] * 70, *[{"a", "b"}] * 50)
+        assert _ranked(db, Fraction(1, 190), Fraction(1, 190), 10) == [
+            (-120, 120, 1, ("b",), "a"), (-120, 190, 1, ("a",), "b"),
+        ]
+
+
 class TestExactThresholds:
     @pytest.mark.parametrize("value", [0.5, 1.0, True])
     def test_float_and_bool_rejected_naming_the_field(self, value):
