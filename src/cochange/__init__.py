@@ -88,71 +88,11 @@ from .ingest import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociationRule",
-    "BranchInfo",
-    "CauseAttributionError",
-    "CausalDiagnosis",
-    "CochangeMode",
-    "Cohort",
-    "Collector",
-    "Commit",
-    "CommitGraph",
-    "EntryOrigin",
-    "EvaluationRecord",
-    "ExperimentResult",
-    "IngestError",
-    "Outcome",
-    "PairedVerdict",
-    "PipelineRun",
-    "PrecisionRecord",
-    "Query",
-    "Recommendation",
-    "RecommendationEntry",
-    "RecommenderConfig",
-    "SnapshotError",
-    "Strategy",
-    "StudyDiagnostics",
-    "TestCase",
-    "Transaction",
-    "WilcoxonResult",
-    "WinnerRateBin",
-    "added_cochange_count",
-    "additional_changes",
-    "aggregate_rates",
-    "ancestors_all",
-    "ancestors_first_parent",
-    "apriori",
-    "branch_commits",
-    "branch_info",
-    "branch_length",
-    "classify",
-    "cochange_study",
-    "cochanged_files",
-    "collect_commits",
-    "confidence",
-    "diagnose_causes",
-    "eligible",
-    "eligible_merges_for_cochange",
-    "filter_rules",
-    "future_oracle",
-    "generate_test_cases",
-    "ingest_repository",
-    "load_snapshot",
-    "map_all",
-    "map_app",
-    "merge_base",
-    "merge_commit_size",
-    "pairwise_verdict",
-    "precision",
-    "recommend",
-    "repo_level_winner",
-    "run_experiment",
-    "sample_heavy_merges",
-    "save_snapshot",
-    "single_consequent_rules",
-    "strategy_walk",
-    "support",
-    "wilcoxon_signed_rank",
-    "winner_rate_table",
-]
+# The import block above is the one list of public names: __all__ is every
+# imported name defined in a cochange module (the submodule objects the
+# imports also bind are left out).
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_")
+    and getattr(value, "__module__", "").startswith("cochange.")
+)

@@ -137,12 +137,15 @@ class WinnerRateBin:
         return Fraction(self.draws, self.n)
 
 
-def _characteristic_value(d: CausalDiagnosis, characteristic: str) -> int:
-    if characteristic == "branch_length":
-        return d.max_branch_length
-    if characteristic == "merge_size":
-        return d.max_merge_size
-    raise ValueError(f"unknown characteristic: {characteristic}")
+# Each branch characteristic and the CausalDiagnosis field it bins.
+_CHARACTERISTICS = {"branch_length": "max_branch_length", "merge_size": "max_merge_size"}
+
+
+def _check_bins(n_bins: int, multi_threshold: int) -> None:
+    if n_bins < 1:
+        raise ValueError("n_bins must be positive")
+    if multi_threshold < 1:
+        raise ValueError("multi_threshold must be positive")
 
 
 def winner_rate_table(
@@ -159,8 +162,9 @@ def winner_rate_table(
     splits at the median (two bins).  Bin populations differ by at most
     one; draws stay in the table even if a plot would drop them.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be positive")
+    if characteristic not in _CHARACTERISTICS:
+        raise ValueError(f"unknown characteristic: {characteristic}")
+    _check_bins(n_bins, multi_threshold)
     if cohort is Cohort.SINGLE:
         selected = [(d, v) for d, v in cases if d.n_causing == 1]
         bins = n_bins
@@ -169,9 +173,8 @@ def winner_rate_table(
         bins = 2
     if not selected:
         return []
-    keyed = sorted(
-        (( _characteristic_value(d, characteristic), i, v) for i, (d, v) in enumerate(selected)),
-    )
+    field = _CHARACTERISTICS[characteristic]
+    keyed = sorted((getattr(d, field), i, v) for i, (d, v) in enumerate(selected))
     bins = min(bins, len(keyed))
     base, extra = divmod(len(keyed), bins)
     out: list[WinnerRateBin] = []
@@ -222,7 +225,15 @@ def analyze_branches(
     holds at most that many commits; ``"median"`` takes ``median_cap`` of
     the sizes.  Returns the four winner-rate tables, keyed by their CSV
     file names, and the summary written as ``branch_analysis.json``.
+    Raises ValueError, before any case is scored, for a ``result`` whose
+    two strategies are the same, a ``cap`` of any other value, or an
+    ``n_bins`` or ``multi_threshold`` below 1.
     """
+    if result.strategy_a is result.strategy_b:
+        raise ValueError("result needs two distinct strategies")
+    if not (cap is None or cap == "median" or (type(cap) is int and cap >= 0)):
+        raise ValueError(f"cap must be None, 'median' or a non-negative int, not {cap!r}")
+    _check_bins(n_bins, multi_threshold)
     # One row per case, in case order (winner_rate_table breaks ties by
     # position): first-parent collection size, diagnosis (None for equal
     # collections, CauseAttributionError when no merge explains the

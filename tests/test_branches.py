@@ -229,6 +229,16 @@ class TestWinnerRateTable:
             winner_rate_table(cases, "nope", Cohort.SINGLE)
         with pytest.raises(ValueError):
             winner_rate_table(cases, "branch_length", Cohort.SINGLE, n_bins=0)
+        with pytest.raises(ValueError, match="multi_threshold"):
+            winner_rate_table(cases, "branch_length", Cohort.SIX_PLUS,
+                              multi_threshold=0)
+
+    def test_characteristic_is_checked_when_the_cohort_is_empty(self):
+        # one single-cause case: the six-plus cohort selects nothing
+        cases = [(mk_diag(0, 1), PairedVerdict.DRAW)]
+        for selected in (cases, []):
+            with pytest.raises(ValueError, match="unknown characteristic"):
+                winner_rate_table(selected, "brnach_length", Cohort.SIX_PLUS)
 
 
 class TestMedianCap:
@@ -363,6 +373,27 @@ class TestAnalyzeBranches:
         assert main(["analyze-branches", "--snapshot", snap, "--out", str(out),
                      "--cap", flag, "--multi-threshold", "3"]) == 0
         assert json.loads((out / "branch_analysis.json").read_text()) == summary
+
+    @pytest.mark.parametrize("pair, kwargs, argument", [
+        ((Strategy.FULL, Strategy.FULL), {}, "result"),
+        (PAIR, {"cap": "mean"}, "cap"),
+        (PAIR, {"cap": -3}, "cap"),
+        (PAIR, {"cap": 2.5}, "cap"),
+        (PAIR, {"cap": True}, "cap"),
+        (PAIR, {"n_bins": 0}, "n_bins"),
+        (PAIR, {"multi_threshold": 0}, "multi_threshold"),
+    ])
+    def test_refuses_bad_arguments_before_scoring_a_case(
+        self, corpus, monkeypatch, pair, kwargs, argument
+    ):
+        def no_scoring(*args):
+            raise AssertionError("a case was scored")
+
+        monkeypatch.setattr("cochange.branches._scored_cases", no_scoring)
+        result = ExperimentResult(*pair, False)
+        with pytest.raises(ValueError, match=argument):
+            analyze_branches(corpus[0], self.CONFIG, result, **kwargs)
+        assert result.verdicts == []
 
 
 class TestEligibleMerges:
