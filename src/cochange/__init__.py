@@ -25,10 +25,8 @@ from .mining import (
     AssociationRule,
     Transaction,
     apriori,
-    confidence,
     filter_rules,
     single_consequent_rules,
-    support,
 )
 from .recommend import (
     Collector,
@@ -48,13 +46,10 @@ from .evaluation import (
     TestCase,
     WilcoxonResult,
     aggregate_rates,
-    classify,
-    eligible,
     generate_test_cases,
     map_all,
     map_app,
     pairwise_verdict,
-    repo_level_winner,
     run_experiment,
     wilcoxon_signed_rank,
 )
@@ -73,7 +68,6 @@ from .branches import (
     cochanged_files,
     diagnose_causes,
     eligible_merges_for_cochange,
-    future_oracle,
     precision,
     sample_heavy_merges,
     winner_rate_table,

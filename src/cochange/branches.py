@@ -319,15 +319,6 @@ def _future(graph: CommitGraph, merge: str, horizon: int) -> list[frozenset[str]
     return [graph.commits[cid].changeset for cid in nearest[:horizon]]
 
 
-def future_oracle(
-    graph: CommitGraph, merge: str, target: str, horizon: int = 100
-) -> frozenset[str]:
-    """Files co-changed with ``target`` in the next ``horizon`` commits
-    that descend from ``merge``."""
-    graph.commit(merge)
-    return cochanged_files(_future(graph, merge, horizon), target)
-
-
 def precision(changed: frozenset[str], oracle: frozenset[str]) -> Fraction:
     """|changed ∩ oracle| / |changed|, exact."""
     if not changed:

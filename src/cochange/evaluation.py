@@ -23,7 +23,6 @@ from .mining import Transaction, _ranked
 from .recommend import (
     Collector,
     PipelineRun,
-    Recommendation,
     RecommenderConfig,
     _fire,
 )
@@ -257,43 +256,12 @@ def _prepare_commit(
     return None, list(zip(cases, *runs))
 
 
-def eligible(
-    graph: CommitGraph,
-    commit: str,
-    strategies: tuple[Strategy, Strategy],
-    config: RecommenderConfig,
-) -> tuple[bool, str | None]:
-    """Whether ``commit`` qualifies as an evaluation event source.
-
-    Checks, in order: changeset size within 2..max, the two strategies
-    collect different changeset lists for at least one query, at least
-    five changesets are collected somewhere, and at least one association
-    rule is generated somewhere.  Returns (False, reason) naming the
-    first failed condition.
-    """
-    a, b = strategies
-    if a is b:
-        raise ValueError("eligibility needs two distinct strategies")
-    walks = tuple(_ChainWalk(graph, s, config, commit) for s in strategies)
-    reason, _ = _prepare_commit(graph, commit, walks, config)
-    return (reason is None), reason
-
-
-def classify(
-    recommendation: Recommendation, test_case: TestCase
-) -> tuple[Outcome, int | None, Fraction]:
-    """Outcome, 1-based oracle rank, and average precision for one case.
-
-    Recommended files that are part of the query are stripped before
-    ranking.
-    """
-    return _classify((e.file for e in recommendation.entries), test_case)
-
-
 def _classify(
     files: Iterable[str], test_case: TestCase
 ) -> tuple[Outcome, int | None, Fraction]:
-    """``classify`` for the recommended ``files``, best first."""
+    """Outcome, 1-based oracle rank, and average precision for one case,
+    given the recommended ``files``, best first.  Files in the query are
+    stripped before ranking."""
     rank = 0
     for f in files:
         if f not in test_case.query:
@@ -478,40 +446,6 @@ def _verdict(metric: Metric, a, b, p_value: float | None) -> PairedVerdict:
     if metric == "map_all" and (p_value is None or p_value >= ALPHA):
         return PairedVerdict.DRAW  # not significant
     return _compare(a, b)
-
-
-def repo_level_winner(
-    records_a: Sequence[EvaluationRecord],
-    records_b: Sequence[EvaluationRecord],
-    metric: Metric,
-) -> PairedVerdict:
-    """Repository-level winner under one metric.
-
-    ``success_rate`` and ``wins`` compare strictly; ``map_all`` requires
-    a significant signed-rank test (two-sided, alpha 0.05) before the
-    higher mean wins.
-    """
-    if len(records_a) != len(records_b) or not records_a:
-        raise ValueError("paired, non-empty record lists required")
-    if metric == "success_rate":
-        return _compare(
-            aggregate_rates(records_a)[0], aggregate_rates(records_b)[0]
-        )
-    if metric == "map_all":
-        pairs = [
-            (a.average_precision, b.average_precision)
-            for a, b in zip(records_a, records_b)
-        ]
-        result = wilcoxon_signed_rank(pairs)
-        if result.p_value is None or result.p_value >= ALPHA:
-            return PairedVerdict.DRAW
-        return _compare(map_all(records_a), map_all(records_b))
-    if metric == "wins":
-        verdicts = Counter(
-            pairwise_verdict(a, b) for a, b in zip(records_a, records_b)
-        )
-        return _compare(verdicts[PairedVerdict.WIN_A], verdicts[PairedVerdict.WIN_B])
-    raise ValueError(f"unknown metric: {metric}")
 
 
 @dataclass

@@ -208,7 +208,12 @@ class CommitGraph:
         boundaries: Iterable[str] = (),
         label: str = "",
     ) -> "CommitGraph":
-        return cls({c.id: c for c in commits}, head, frozenset(boundaries), label)
+        by_id: dict[str, Commit] = {}
+        for c in commits:
+            if c.id in by_id:
+                raise ValueError(f"duplicate commit {c.id}")
+            by_id[c.id] = c
+        return cls(by_id, head, frozenset(boundaries), label)
 
     @classmethod
     def _parents_first(

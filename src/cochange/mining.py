@@ -72,31 +72,6 @@ class AssociationRule:
             raise ValueError(f"confidence out of range: {c}")
 
 
-def support(db: Sequence[Transaction], itemset: Iterable[str]) -> Fraction:
-    """Fraction of transactions containing every item of ``itemset``."""
-    items = frozenset(itemset)
-    if not db:
-        raise ValueError("support is undefined on an empty database")
-    if not items:
-        raise ValueError("support is undefined for the empty itemset")
-    hits = sum(1 for t in db if items <= t.files)
-    return Fraction(hits, len(db))
-
-
-def confidence(
-    db: Sequence[Transaction],
-    antecedent: Iterable[str],
-    consequent: Iterable[str],
-) -> Fraction:
-    """support(antecedent | consequent) / support(antecedent)."""
-    x = frozenset(antecedent)
-    y = frozenset(consequent)
-    sx = support(db, x)
-    if sx == 0:
-        raise ValueError("confidence is undefined: antecedent never occurs")
-    return support(db, x | y) / sx
-
-
 def _validate_threshold(name: str, value: Fraction) -> Fraction:
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10, and
     # would silently drop a rule sitting exactly at the threshold.

@@ -55,6 +55,8 @@ class RecommenderConfig:
                 raise ValueError(f"{name} must be an int: {v!r}")
             if v < 1:
                 raise ValueError(f"{name} must be positive")
+        if not isinstance(self.collector, Collector):
+            raise ValueError(f"collector must be a Collector: {self.collector!r}")
 
 
 @dataclass(frozen=True)

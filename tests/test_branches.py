@@ -29,7 +29,6 @@ from cochange import (
     collect_commits,
     diagnose_causes,
     eligible_merges_for_cochange,
-    future_oracle,
     precision,
     run_experiment,
     sample_heavy_merges,
@@ -438,27 +437,23 @@ class TestCochangedFilesAndOracle:
     def test_future_oracle_walks_descendants(self, linear_graph):
         # futures of L2 are L3 {a,c}, L4 {a,b}, L5 {a,b}, L6 {a,b}
         g = linear_graph
-        assert future_oracle(g, hid("L2"), "a", horizon=1) == {"c"}
-        assert future_oracle(g, hid("L2"), "a", horizon=2) == {"b", "c"}
-        assert future_oracle(g, hid("L2"), "a") == {"b", "c"}
+        assert cochanged_files(_future(g, hid("L2"), 1), "a") == {"c"}
+        assert cochanged_files(_future(g, hid("L2"), 2), "a") == {"b", "c"}
+        assert cochanged_files(_future(g, hid("L2"), 100), "a") == {"b", "c"}
 
     def test_future_oracle_horizon_zero(self, linear_graph):
-        assert future_oracle(linear_graph, hid("L2"), "a", horizon=0) == frozenset()
-        assert future_oracle(linear_graph, hid("L2"), "a", horizon=-1) == frozenset()
+        assert cochanged_files(_future(linear_graph, hid("L2"), 0), "a") == frozenset()
+        assert cochanged_files(_future(linear_graph, hid("L2"), -1), "a") == frozenset()
 
     def test_future_oracle_nearest_first(self, merge_graph):
         # descendants of A by distance, then timestamp: C, B, D, E, H;
         # b.txt co-changes only at E (distance 2), the fourth entry
         g = merge_graph
-        assert future_oracle(g, hid("A"), "b.txt", horizon=3) == frozenset()
-        assert future_oracle(g, hid("A"), "b.txt", horizon=4) == {"d.txt"}
+        assert cochanged_files(_future(g, hid("A"), 3), "b.txt") == frozenset()
+        assert cochanged_files(_future(g, hid("A"), 4), "b.txt") == {"d.txt"}
 
     def test_future_oracle_no_descendants(self, merge_graph):
-        assert future_oracle(merge_graph, hid("H"), "h.txt") == frozenset()
-
-    def test_future_oracle_unknown_commit(self, merge_graph):
-        with pytest.raises(KeyError):
-            future_oracle(merge_graph, hid("nope"), "x")
+        assert cochanged_files(_future(merge_graph, hid("H"), 100), "h.txt") == frozenset()
 
 
 def reference_future(graph, merge, horizon):

@@ -28,14 +28,11 @@ from cochange import (
     Strategy,
     TestCase as EvalCase,
     aggregate_rates,
-    classify,
-    eligible,
     generate_test_cases,
     map_all,
     map_app,
     pairwise_verdict,
     recommend,
-    repo_level_winner,
     run_experiment,
     save_snapshot,
     single_consequent_rules,
@@ -44,9 +41,12 @@ from cochange import (
 from cochange.cli import main
 import cochange.evaluation as evaluation_module
 from cochange.evaluation import (
+    ALPHA,
     METRICS,
     ExperimentResult,
     _ChainWalk,
+    _classify,
+    _compare,
     _prepare_commit,
     _scored_cases,
 )
@@ -74,17 +74,6 @@ from synthgen import generic_graph, long_branch_graph, short_branch_graph
 PAIR_NO_MERGE = (Strategy.FULL, Strategy.FIRST_PARENT_NO_MERGE)
 # ``cochange.recommend`` the attribute is the function
 recommend_module = importlib.import_module("cochange.recommend")
-
-
-def entry(file, score=Fraction(1, 2)):
-    rule = AssociationRule(
-        frozenset({"seed"}), frozenset({file}), score, score
-    )
-    return RecommendationEntry(file, score, rule)
-
-
-def rec(*files):
-    return Recommendation(tuple(entry(f) for f in files), Strategy.FULL)
 
 
 def record(ap, outcome, case=None, strategy=Strategy.FULL, n_recs=1, n_rules=1):
@@ -169,14 +158,21 @@ class TestGenerateTestCases:
             EvalCase(hid("c"), frozenset({"a"}), "a")
 
 
+def eligibility(graph, commit, strategies, config):
+    """Whether ``commit`` alone is eligible, and the first reason it fails."""
+    walks = tuple(_ChainWalk(graph, s, config, commit) for s in strategies)
+    reason, _ = _prepare_commit(graph, commit, walks, config)
+    return reason is None, reason
+
+
 class TestEligibility:
     def test_size_out_of_range(self):
         g = build_graph([mk_commit("A", [], 1, ["only"])], "A")
-        ok, reason = eligible(g, hid("A"), PAIR_NO_MERGE, RecommenderConfig())
+        ok, reason = eligibility(g, hid("A"), PAIR_NO_MERGE, RecommenderConfig())
         assert (ok, reason) == (False, "changeset size out of range")
 
     def test_linear_history_is_identical(self, linear_graph):
-        ok, reason = eligible(
+        ok, reason = eligibility(
             linear_graph, hid("L5"), PAIR_NO_MERGE, RecommenderConfig()
         )
         assert (ok, reason) == (False, "identical changesets")
@@ -195,7 +191,7 @@ class TestEligibility:
         )
         commits.append(mk_commit("T", ["M"], 9, ["q", "o"]))
         g = build_graph(commits, "T")
-        ok, reason = eligible(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
+        ok, reason = eligibility(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
         assert (ok, reason) == (False, "fewer than five changesets")
 
     def test_no_rules_when_history_has_only_singletons(self):
@@ -209,45 +205,36 @@ class TestEligibility:
         )
         commits.append(mk_commit("T", ["M"], 9, ["q", "o"]))
         g = build_graph(commits, "T")
-        ok, reason = eligible(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
+        ok, reason = eligibility(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
         assert (ok, reason) == (False, "no association rules generated")
 
     def test_fully_eligible_commit(self):
         g = eligible_graph()
-        ok, reason = eligible(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
+        ok, reason = eligibility(g, hid("T"), PAIR_NO_MERGE, RecommenderConfig())
         assert (ok, reason) == (True, None)
-
-    def test_distinct_strategies_required(self, linear_graph):
-        with pytest.raises(ValueError):
-            eligible(
-                linear_graph,
-                hid("L5"),
-                (Strategy.FULL, Strategy.FULL),
-                RecommenderConfig(),
-            )
 
 
 class TestClassify:
     CASE = EvalCase(hid("c"), frozenset({"q1", "q2"}), "oracle")
 
     def test_success_at_rank_two(self):
-        outcome, rank, ap = classify(rec("other", "oracle", "late"), self.CASE)
+        outcome, rank, ap = _classify(["other", "oracle", "late"], self.CASE)
         assert (outcome, rank, ap) == (Outcome.SUCCESS, 2, Fraction(1, 2))
 
     def test_query_entries_stripped_before_ranking(self):
-        outcome, rank, ap = classify(rec("q1", "q2", "oracle"), self.CASE)
+        outcome, rank, ap = _classify(["q1", "q2", "oracle"], self.CASE)
         assert (outcome, rank, ap) == (Outcome.SUCCESS, 1, Fraction(1))
 
     def test_only_query_entries_is_no_prediction(self):
-        outcome, rank, ap = classify(rec("q1", "q2"), self.CASE)
+        outcome, rank, ap = _classify(["q1", "q2"], self.CASE)
         assert (outcome, rank, ap) == (Outcome.NO_PREDICTION, None, Fraction(0))
 
     def test_empty_recommendation_is_no_prediction(self):
-        outcome, rank, ap = classify(rec(), self.CASE)
+        outcome, rank, ap = _classify([], self.CASE)
         assert (outcome, rank, ap) == (Outcome.NO_PREDICTION, None, Fraction(0))
 
     def test_wrong_files_is_failure(self):
-        outcome, rank, ap = classify(rec("wrong", "also-wrong"), self.CASE)
+        outcome, rank, ap = _classify(["wrong", "also-wrong"], self.CASE)
         assert (outcome, rank, ap) == (Outcome.FAILURE, None, Fraction(0))
 
 
@@ -482,6 +469,36 @@ class TestExactSumsAgainstFractionFormulas:
         assert tuple(wilcoxon_signed_rank(pairs, method)) == reference_wilcoxon(pairs, method)
 
 
+def reference_repo_level_winner(records_a, records_b, metric):
+    """Repository-level winner under one metric.
+
+    ``success_rate`` and ``wins`` compare strictly; ``map_all`` requires
+    a significant signed-rank test (two-sided, alpha 0.05) before the
+    higher mean wins.
+    """
+    if len(records_a) != len(records_b) or not records_a:
+        raise ValueError("paired, non-empty record lists required")
+    if metric == "success_rate":
+        return _compare(
+            aggregate_rates(records_a)[0], aggregate_rates(records_b)[0]
+        )
+    if metric == "map_all":
+        pairs = [
+            (a.average_precision, b.average_precision)
+            for a, b in zip(records_a, records_b)
+        ]
+        result = wilcoxon_signed_rank(pairs)
+        if result.p_value is None or result.p_value >= ALPHA:
+            return PairedVerdict.DRAW
+        return _compare(map_all(records_a), map_all(records_b))
+    if metric == "wins":
+        verdicts = Counter(
+            pairwise_verdict(a, b) for a, b in zip(records_a, records_b)
+        )
+        return _compare(verdicts[PairedVerdict.WIN_A], verdicts[PairedVerdict.WIN_B])
+    raise ValueError(f"unknown metric: {metric}")
+
+
 class TestRepoLevelWinner:
     def paired(self, aps_a, aps_b):
         records_a, records_b = [], []
@@ -497,38 +514,38 @@ class TestRepoLevelWinner:
 
     def test_success_rate_strict(self):
         a, b = self.paired([1, 1, 0], [1, 0, 0])
-        assert repo_level_winner(a, b, "success_rate") is PairedVerdict.WIN_A
-        assert repo_level_winner(b, a, "success_rate") is PairedVerdict.WIN_B
+        assert reference_repo_level_winner(a, b, "success_rate") is PairedVerdict.WIN_A
+        assert reference_repo_level_winner(b, a, "success_rate") is PairedVerdict.WIN_B
 
     def test_success_rate_equal_is_draw(self):
         a, b = self.paired([1, 0], [0, 1])
-        assert repo_level_winner(a, b, "success_rate") is PairedVerdict.DRAW
+        assert reference_repo_level_winner(a, b, "success_rate") is PairedVerdict.DRAW
 
     def test_map_all_needs_significance(self):
         # five uniform positive differences: exact p = 2/32 > 0.05
         a, b = self.paired([1] * 5, [0] * 5)
-        assert repo_level_winner(a, b, "map_all") is PairedVerdict.DRAW
+        assert reference_repo_level_winner(a, b, "map_all") is PairedVerdict.DRAW
         # six: exact p = 2/64 < 0.05
         a, b = self.paired([1] * 6, [0] * 6)
-        assert repo_level_winner(a, b, "map_all") is PairedVerdict.WIN_A
-        assert repo_level_winner(b, a, "map_all") is PairedVerdict.WIN_B
+        assert reference_repo_level_winner(a, b, "map_all") is PairedVerdict.WIN_A
+        assert reference_repo_level_winner(b, a, "map_all") is PairedVerdict.WIN_B
 
     def test_map_all_all_zero_differences_is_draw(self):
         a, b = self.paired([1, 0, 1], [1, 0, 1])
-        assert repo_level_winner(a, b, "map_all") is PairedVerdict.DRAW
+        assert reference_repo_level_winner(a, b, "map_all") is PairedVerdict.DRAW
 
     def test_wins_strict_count(self):
         a, b = self.paired([1, 1, 0], [0, 0, 1])
-        assert repo_level_winner(a, b, "wins") is PairedVerdict.WIN_A
+        assert reference_repo_level_winner(a, b, "wins") is PairedVerdict.WIN_A
 
     def test_unknown_metric(self):
         a, b = self.paired([1], [0])
         with pytest.raises(ValueError):
-            repo_level_winner(a, b, "nope")
+            reference_repo_level_winner(a, b, "nope")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            repo_level_winner([], [], "wins")
+            reference_repo_level_winner([], [], "wins")
 
 
 @st.composite
@@ -569,7 +586,7 @@ class TestSummaryAgainstRepoLevelWinner:
                  PairedVerdict.DRAW: "draw"}
         assert list(summary["repo_winner"]) == list(METRICS)
         for metric in METRICS:
-            expected = repo_level_winner(records_a, records_b, metric)
+            expected = reference_repo_level_winner(records_a, records_b, metric)
             assert summary["repo_winner"][metric] == names[expected], metric
         pairs = [(a.average_precision, b.average_precision)
                  for a, b in zip(*records)]
@@ -684,7 +701,7 @@ class TestEligibilityBeforeMining:
         expected_rows, reasons = [], Counter()
         for commit in chain:
             reason, commit_rows = mine_first(graph, commit, strategies, config)
-            assert eligible(graph, commit, strategies, config) == (
+            assert eligibility(graph, commit, strategies, config) == (
                 reason is None, reason
             )
             reasons.update([reason] if reason else [])
@@ -727,7 +744,8 @@ def reference_records(case, runs, strategies, fairness):
     recs = [Recommendation(entries[:cut], s)
             for entries, s in zip(entry_lists, strategies)]
     return tuple(
-        EvaluationRecord(case, s, *classify(rec, case), len(rec.entries), run.n_rules)
+        EvaluationRecord(case, s, *_classify((e.file for e in rec.entries), case),
+                         len(rec.entries), run.n_rules)
         for s, rec, run in zip(strategies, recs, runs)
     )
 
@@ -953,8 +971,8 @@ def _reference_orders(graph, commit):
 
 class TestSplicedWalkOrder:
     @settings(max_examples=300)
-    @given(graph=random_dags(), data=st.data())
-    def test_walk_is_the_ancestor_order_at_every_chain_commit(self, graph, data):
+    @given(graph=random_dags())
+    def test_walk_is_the_ancestor_order_at_every_chain_commit(self, graph):
         chain = ancestors_first_parent(graph, graph.head)
         # forward: the splices of a walk built up to each chain commit
         for commit in chain:
@@ -969,21 +987,6 @@ class TestSplicedWalkOrder:
             assert {s: w._order[::-1] for s, w in walks.items()} == (
                 _reference_orders(graph, commit)
             )
-        # eligible() walks only its own commit's history
-        mid = chain[len(chain) // 2]
-        built = []
-
-        class Recorded(_ChainWalk):
-            def __init__(self, graph, strategy, config, head):
-                super().__init__(graph, strategy, config, head)
-                built.append((strategy, self._order[::-1]))
-
-        strategies = tuple(data.draw(st.permutations(list(Strategy)))[:2])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evaluation_module, "_ChainWalk", Recorded)
-            eligible(graph, mid, strategies, RecommenderConfig())
-        expected = _reference_orders(graph, mid)
-        assert built == [(s, expected[s]) for s in strategies]
 
     def test_splice_runs_on_until_the_old_walk_lines_up(self):
         #   B ---.

@@ -132,6 +132,12 @@ class TestValidation:
                 commits, hid("B"), boundaries=[hid("A"), "not-an-id"]
             )
 
+    def test_graph_rejects_duplicate_commit(self):
+        first = mk_commit("A", [], 1, ["a"])
+        second = mk_commit("A", [], 2, ["b"])
+        with pytest.raises(ValueError, match=f"^duplicate commit {hid('A')}$"):
+            CommitGraph.from_commits([first, second], hid("A"))
+
     def test_graph_rejects_no_commits(self):
         with pytest.raises(ValueError, match="must contain at least one commit"):
             CommitGraph({}, hid("A"))

@@ -67,6 +67,13 @@ class TestConfigAndQueryValidation:
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             RecommenderConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["sequential", "per-file", "bogus", None])
+    def test_collector_must_be_a_collector(self, value):
+        # a string would fail the `is Collector.SEQUENTIAL` tests and
+        # silently run the per-file collector
+        with pytest.raises(ValueError, match="collector must be a Collector"):
+            RecommenderConfig(collector=value)
+
     def test_query_needs_files(self):
         with pytest.raises(ValueError):
             Query(frozenset(), hid("x"))
