@@ -161,10 +161,14 @@ class Commit:
         ``changeset`` a frozenset and ``merge_eq`` is what the checker
         returned.  Only ``load_snapshot`` calls it."""
         commit = object.__new__(cls)
-        commit.__dict__.update(
-            id=cid, parents=parents, author_timestamp=ts,
-            changeset=changeset, merge_eq=merge_eq,
-        )
+        # one item at a time: faster than update(), and the instance dict
+        # keeps sharing its keys with the class's other instances
+        fields = commit.__dict__
+        fields["id"] = cid
+        fields["parents"] = parents
+        fields["author_timestamp"] = ts
+        fields["changeset"] = changeset
+        fields["merge_eq"] = merge_eq
         return commit
 
     @property

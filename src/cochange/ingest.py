@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import json.scanner
 import subprocess
+from itertools import chain, compress, count, repeat
+from operator import eq, gt, itemgetter, methodcaller, not_
 from pathlib import Path
 
-from .history import Commit, CommitGraph, _check_commit, validate_commit_id
+from .history import Commit, CommitGraph, _check_commit, _valid_path, validate_commit_id
 
 FORMAT_VERSION = 1
 
@@ -100,7 +102,14 @@ def _list_of(kind: type, value, what: str, line_no: int) -> list:
 
 
 def load_snapshot(path: str | Path) -> CommitGraph:
-    """Parse and fully validate a snapshot file."""
+    """Parse and fully validate a snapshot file.
+
+    The records are checked in two passes.  ``_accept_records`` checks
+    every rule a column at a time and builds the commits of a
+    well-formed file; on any broken rule it gives up, and
+    ``_check_records`` checks the records one line at a time and raises
+    the ``SnapshotError`` that names the first broken line.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -134,8 +143,141 @@ def load_snapshot(path: str | Path) -> CommitGraph:
             validate_commit_id(b)
         except ValueError as exc:
             raise SnapshotError(f"boundaries: {exc}", 1) from None
+    records = lines[1:]
+    commits = _accept_records(records, boundaries)
+    if commits is None:
+        commits = _check_records(records, boundaries)
+    if not commits:
+        raise SnapshotError("snapshot contains no commits", 1)
+    head = header["head"]
+    if head not in commits:
+        raise SnapshotError(f"head {head} is not among the commits", 1)
+    # every record passed the checks and every parent came earlier or
+    # is a boundary: the graph needs no second validation
+    return CommitGraph._parents_first(commits, head, boundaries, header["repo_label"])
+
+
+# ``str.translate`` drops every character of a commit id; with every id
+# 40 characters long, nothing left over means each one matches
+# ``validate_commit_id``'s pattern.
+_drop_id_chars = dict.fromkeys(map(ord, "0123456789abcdef"))
+_record_merge_eq = methodcaller("get", "merge_eq", {})
+# Record lines scanned at a time.  A chunk's parsed lines are freed
+# before the next is scanned, so fewer of them outlive a collection of
+# the young generation and the full collections stay rare: on a
+# 12,800-commit snapshot (Python 3.11, 2 vCPUs), chunks of 1024 lines
+# made the load 20% slower than chunks of 512, and one chunk of every
+# line 50% slower.
+_CHUNK = 512
+
+
+def _accept_records(
+    lines: list[str], boundaries: frozenset[str]
+) -> dict[str, Commit] | None:
+    """The commits of the record lines, keyed by id in file order, or
+    None when any line breaks a rule that ``_check_records`` enforces.
+
+    Each rule is checked over a whole column (every id, every timestamp,
+    every distinct path, every merge's flags) by set, map and zip
+    operations, with no Python loop over the records: the rules of one
+    record by ``_accept_chunk``, then those between records here.
+    Whenever this returns commits, ``_check_records`` returns an equal
+    dict for the same lines.
+    """
+    ids, parents, stamps, files, merge_eqs = columns = [], [], [], [], []
+    for start in range(0, len(lines), _CHUNK):
+        chunk = _accept_chunk(lines[start:start + _CHUNK])
+        if chunk is None:
+            return None
+        for column, part in zip(columns, chunk):
+            column += part
+    # Every parent is an earlier record or a boundary: a boundary sits
+    # before every record, an unknown parent after all of them.
+    n = len(ids)
+    pos = dict.fromkeys(boundaries, -1)
+    pos.update(zip(ids, count()))
+    if not n or len(pos) != len(boundaries) + n or not all(map(
+        gt,
+        chain.from_iterable(map(repeat, count(), map(len, parents))),
+        map(pos.get, chain.from_iterable(parents), repeat(n)),
+    )):
+        return None
+    return dict(zip(ids, map(Commit._checked, ids, parents, stamps, files, merge_eqs)))
+
+
+def _accept_chunk(lines: list[str]) -> tuple | None:
+    """The columns of some record lines (ids, parent tuples, timestamps,
+    changesets and stored flags) when each record keeps the rules of one
+    record, else None.  Types are checked before any value is hashed."""
+    try:
+        # value, end, value, end, ...: each scanner pair dies at once
+        scanned = tuple(chain.from_iterable(map(_scan_once, lines, repeat(0))))
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    values = scanned[::2]
+    if scanned[1::2] != tuple(map(len, lines)) or set(map(type, values)) != {dict}:
+        return None
+    try:
+        ids, parents, stamps, files = (
+            tuple(map(itemgetter(key), values))
+            for key in ("id", "parents", "ts", "files")
+        )
+    except KeyError:
+        return None
+    merge_eqs = tuple(map(_record_merge_eq, values))
+    # the record dicts go now: fewer objects alive, fewer collections
+    del scanned, values
+    if (
+        set(map(type, ids)) != {str}
+        or set(map(len, ids)) != {40}
+        or "".join(ids).translate(_drop_id_chars)
+        or set(map(type, stamps)) != {int}  # a bool's type is bool
+        or set(map(type, parents)) != {list}
+        or set(map(type, files)) != {list}
+        or set(map(type, merge_eqs)) != {dict}
+        or not {str}.issuperset(map(type, chain.from_iterable(parents)))
+        or not {str}.issuperset(map(type, chain.from_iterable(files)))
+    ):
+        return None
+    parents = tuple(map(tuple, parents))
+    files = tuple(map(frozenset, files))
+    try:
+        for f in frozenset().union(*files):
+            _valid_path(f)
+    except ValueError:
+        return None
+    # A non-merge carries no flags.  A merge's parents are distinct and
+    # its flags cover exactly its changeset, each list one bool per
+    # parent, the first False.
+    n_parents = tuple(map(len, parents))
+    is_merge = tuple(map((1).__lt__, n_parents))
+    if any(compress(merge_eqs, map(not_, is_merge))):
+        return None
+    n_merge_parents = tuple(compress(n_parents, is_merge))
+    merge_flags = tuple(compress(merge_eqs, is_merge))
+    flags = tuple(chain.from_iterable(map(dict.values, merge_flags)))
+    if (
+        tuple(map(len, map(set, compress(parents, is_merge)))) != n_merge_parents
+        or not all(map(eq, map(dict.keys, merge_flags), compress(files, is_merge)))
+        or not {list}.issuperset(map(type, flags))
+        or tuple(map(len, flags)) != tuple(chain.from_iterable(
+            map(repeat, n_merge_parents, map(len, merge_flags))
+        ))
+        or not {bool}.issuperset(map(type, chain.from_iterable(flags)))
+        or any(map(itemgetter(0), flags))
+    ):
+        return None
+    stored: list[dict[str, tuple[bool, ...]] | None] = [None] * len(ids)
+    for i, eq_flags in zip(compress(count(), is_merge), merge_flags):
+        stored[i] = dict(zip(eq_flags, map(tuple, eq_flags.values())))
+    return ids, parents, stamps, files, stored
+
+
+def _check_records(lines: list[str], boundaries: frozenset[str]) -> dict[str, Commit]:
+    """The commits of the record lines, checked one line at a time;
+    raises the ``SnapshotError`` that names the first broken line."""
     commits: dict[str, Commit] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(lines, start=2):
         if not raw.strip():
             raise SnapshotError("blank line inside snapshot", line_no)
         rec = _snapshot_json(raw, line_no)
@@ -167,14 +309,7 @@ def load_snapshot(path: str | Path) -> CommitGraph:
                     line_no,
                 )
         commits[cid] = Commit._checked(cid, parents, ts, files, merge_eq)
-    if not commits:
-        raise SnapshotError("snapshot contains no commits", 1)
-    head = header["head"]
-    if head not in commits:
-        raise SnapshotError(f"head {head} is not among the commits", 1)
-    # every record passed the checker and every parent came earlier or
-    # is a boundary: the graph needs no second validation
-    return CommitGraph._parents_first(commits, head, boundaries, header["repo_label"])
+    return commits
 
 
 def _git(repo: Path, *args: str, stdin: str | None = None) -> str:

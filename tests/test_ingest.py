@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1019,10 +1020,20 @@ class TestOneWalkOrder:
         assert (tmp_path / "resaved.jsonl").read_bytes() == canonical.read_bytes()
 
 
+def break_timestamp(lines, k):
+    """``lines`` with the record on 1-based line ``k`` given a bool ``ts``."""
+    rec = json.loads(lines[k - 1])
+    rec["ts"] = True
+    return [*lines[:k - 1], json.dumps(rec), *lines[k:]]
+
+
 class TestLoadChecksOnce:
-    def test_one_check_per_record_and_no_graph_validation(
-        self, monkeypatch, tmp_path
-    ):
+    """A well-formed snapshot is accepted by the column pass, which calls
+    neither ``_check_commit`` nor ``CommitGraph._validate``; the per-line
+    pass runs only to name a broken line."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {"check": 0, "validate": 0}
         check, validate = history_mod._check_commit, CommitGraph._validate
 
@@ -1038,14 +1049,148 @@ class TestLoadChecksOnce:
         monkeypatch.setattr(history_mod, "_check_commit", counted_check)
         monkeypatch.setattr(ingest_mod, "_check_commit", counted_check)
         monkeypatch.setattr(CommitGraph, "_validate", counted_validate)
+        return calls
+
+    # chunks of 1 and 7 records split the 40 records the way a long
+    # snapshot is split into chunks of ingest._CHUNK
+    @pytest.mark.parametrize("chunk", [1, 7, ingest_mod._CHUNK])
+    def test_clean_snapshot_runs_no_per_commit_check(
+        self, calls, monkeypatch, tmp_path, chunk
+    ):
         graph = generic_graph(seed=2, n_commits=40)
         path = tmp_path / "snap.jsonl"
         save_snapshot(graph, path)
+        monkeypatch.setattr(ingest_mod, "_CHUNK", chunk)
         calls.update(check=0, validate=0)
         assert load_snapshot(path) == graph
-        assert calls == {"check": len(graph.commits), "validate": 0}
+        assert calls == {"check": 0, "validate": 0}
         # the public constructors still check
         c = next(iter(graph.commits.values()))
         Commit(c.id, c.parents, c.author_timestamp, c.changeset, c.merge_eq)
         CommitGraph(dict(graph.commits), graph.head, graph.boundaries)
-        assert calls == {"check": len(graph.commits) + 1, "validate": 1}
+        assert calls == {"check": 1, "validate": 1}
+
+    def test_snapshot_broken_at_line_k_reports_line_k(self, calls, tmp_path):
+        graph = generic_graph(seed=2, n_commits=40)
+        lines = lines_of(graph, tmp_path)
+        for k in range(2, len(lines) + 1):
+            calls.update(check=0, validate=0)
+            with pytest.raises(SnapshotError, match="non-integer timestamp") as exc:
+                load_snapshot(write_lines(tmp_path, break_timestamp(lines, k)))
+            assert exc.value.line == k
+            # the per-line pass stopped at the broken record
+            assert calls == {"check": k - 1, "validate": 0}
+
+
+def edit_record(records, merge, edit):
+    """Apply one named edit to the parsed lines of ``merge_graph``'s
+    snapshot; ``merge`` is the merge record's index."""
+    root, child, rec = records[1], records[2], records[merge]
+    first = rec["files"][0]
+    if edit.startswith("root-merge-eq-"):
+        root["merge_eq"] = {"null": None, "list": [], "zero": 0}[edit[14:]]
+    elif edit == "parent-nested-list":
+        child["parents"] = [[]]
+    elif edit == "parent-int":
+        child["parents"] = [1]
+    elif edit == "parent-self":
+        child["parents"] = [child["id"]]
+    elif edit == "parent-later-record":
+        child["parents"] = [records[-1]["id"]]
+    elif edit == "files-hold-a-list":
+        child["files"].append(["x.txt"])
+    elif edit == "duplicate-id":
+        records.append(dict(child))
+    elif edit == "id-also-a-boundary":
+        records[0]["boundaries"].append(child["id"])
+    elif edit == "ts-true":
+        child["ts"] = True
+    elif edit == "ts-float":
+        child["ts"] = 1.0
+    elif edit == "merge-duplicate-parent":
+        rec["parents"][1] = rec["parents"][0]
+    elif edit == "merge-flags-too-long":
+        rec["merge_eq"][first].append(True)
+    elif edit == "merge-flags-too-short":
+        del rec["merge_eq"][first][1]
+    elif edit == "merge-zero-flag":
+        rec["merge_eq"][first][1] = 0
+    elif edit == "merge-first-flag-true":
+        rec["merge_eq"][first][0] = True
+    elif edit == "merge-keys-differ-from-files":
+        rec["merge_eq"]["z.txt"] = rec["merge_eq"].pop(first)
+    elif edit == "merge-eq-null":
+        rec["merge_eq"] = None
+    elif edit == "merge-flags-null":
+        rec["merge_eq"][first] = None
+    elif edit.startswith("head-id-"):
+        # no record names the head as a parent, so only the id check sees it
+        head = next(r for r in records[1:] if r["id"] == records[0]["head"])
+        bad = {"short": head["id"][1:], "uppercase": head["id"].upper()}[edit[8:]]
+        head["id"] = records[0]["head"] = bad
+    else:
+        raise AssertionError(edit)
+
+
+class TestAcceptPassAgainstReference:
+    """Each input breaks one rule the column pass checks: the pass gives
+    up and the load fails exactly as the reference loader does."""
+
+    @pytest.mark.parametrize("edit", [
+        "root-merge-eq-null", "root-merge-eq-list", "root-merge-eq-zero",
+        "parent-nested-list", "parent-int", "parent-self", "parent-later-record",
+        "files-hold-a-list", "duplicate-id", "id-also-a-boundary",
+        "ts-true", "ts-float",
+        "merge-duplicate-parent", "merge-flags-too-long", "merge-flags-too-short",
+        "merge-zero-flag", "merge-first-flag-true", "merge-keys-differ-from-files",
+        "merge-eq-null", "merge-flags-null", "head-id-short", "head-id-uppercase",
+    ])
+    @pytest.mark.parametrize("chunk", [2, ingest_mod._CHUNK])
+    def test_broken_record_fails_as_in_the_reference(
+        self, merge_graph, monkeypatch, tmp_path, edit, chunk
+    ):
+        monkeypatch.setattr(ingest_mod, "_CHUNK", chunk)
+        records = [json.loads(raw) for raw in lines_of(merge_graph, tmp_path)]
+        merge = next(i for i, r in enumerate(records) if len(r.get("parents", ())) == 2)
+        edit_record(records, merge, edit)
+        lines = [json.dumps(r) for r in records]
+        path = write_lines(tmp_path, lines)
+        boundaries = frozenset(records[0]["boundaries"])
+        assert ingest_mod._accept_records(lines[1:], boundaries) is None
+        outcome = load_outcome(load_snapshot, path)
+        assert isinstance(outcome, tuple)  # an error, not a graph
+        assert outcome == load_outcome(reference_load_snapshot, path)
+
+    @staticmethod
+    def assert_accepted_commits_match_per_line(path):
+        seen = []
+        accept = ingest_mod._accept_records
+
+        def spy(lines, boundaries):
+            seen.append((lines, boundaries, accept(lines, boundaries)))
+            return seen[-1][2]
+
+        with mock.patch.object(ingest_mod, "_accept_records", spy):
+            load_outcome(load_snapshot, path)
+        for lines, boundaries, commits in seen:
+            if commits is not None:
+                assert ingest_mod._check_records(lines, boundaries) == commits
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_accepted_mutations_match_the_per_line_pass(self, saved_snapshot, data):
+        directory, lines = saved_snapshot
+        path = directory / "mutated.jsonl"
+        path.write_bytes(mutate(data, lines))
+        self.assert_accepted_commits_match_per_line(path)
+
+    @settings(max_examples=200)
+    @given(graph=random_dags(), data=st.data())
+    def test_accepted_mutated_dags_match_the_per_line_pass(
+        self, saved_snapshot, graph, data
+    ):
+        directory, _ = saved_snapshot
+        path = directory / "dag.jsonl"
+        save_snapshot(graph, path)
+        path.write_bytes(mutate(data, path.read_text().splitlines()))
+        self.assert_accepted_commits_match_per_line(path)
