@@ -15,10 +15,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub
 from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
-from .history import CommitGraph, Strategy, _entry, _newest_first, ancestors_first_parent
+from .history import (CommitGraph, Strategy, _entry_files, _newest_first,
+                      ancestors_first_parent)
 from .mining import Transaction, _ranked
 from .recommend import (
     Collector,
@@ -78,9 +80,34 @@ def generate_test_cases(
     changeset = graph.commit(commit).changeset
     if not (2 <= len(changeset) <= max_files):
         return []
-    return [
-        TestCase(commit, changeset - {f}, f) for f in sorted(changeset)
-    ]
+    return [_test_case(commit, changeset - {f}, f) for f in sorted(changeset)]
+
+
+# The case stream builds its transactions, cases and records without
+# ``__init__``: no ``__post_init__``, no frozen ``__setattr__``.  Fields go
+# through ``object.__setattr__``: an instance whose ``__dict__`` is written
+# directly reads its attributes about 1.8 times as slowly (Python 3.11).
+# Each builder's precondition is what its class's constructor checks.
+_set = object.__setattr__
+
+
+def _transaction(files: frozenset[str], cid: str) -> Transaction:
+    """``Transaction(files, cid)``.  Precondition: ``files`` is a
+    non-empty frozenset."""
+    t = object.__new__(Transaction)
+    _set(t, "files", files)
+    _set(t, "source_commit", cid)
+    return t
+
+
+def _test_case(commit: str, query: frozenset[str], oracle: str) -> TestCase:
+    """``TestCase(commit, query, oracle)``.  Precondition: ``query`` is a
+    non-empty frozenset without ``oracle``."""
+    case = object.__new__(TestCase)
+    _set(case, "commit", commit)
+    _set(case, "query", query)
+    _set(case, "oracle", oracle)
+    return case
 
 
 # Reason strings are part of the reporting surface; keep them stable.
@@ -149,8 +176,8 @@ class _ChainWalk:
     def _push(self, commits: Iterable[str]) -> None:
         order, positions = self._order, self._positions
         for cid in commits:
-            e = _entry(self.graph, cid, self.strategy)
-            t = Transaction(e.files, cid) if e else None
+            files = _entry_files(self.graph, cid, self.strategy)[0]
+            t = _transaction(files, cid) if files else None
             self._pos[cid] = len(order)
             for f in self._indexed(t):
                 positions[f].append(len(order))
@@ -181,42 +208,37 @@ class _ChainWalk:
         ``_collect(_walk_before(graph, commit, strategy), changeset -
         {oracle}, config)``.
 
-        Each changed file is bisected once: its slice is up to
-        ``max_commits`` of its positions below the commit's own, less the
+        Each changed file is bisected once: its slice is its last
+        ``max_commits`` positions below the commit's own, less the
         oversized ones under the per-file collector (they took their slot
-        first).  A case's positions are the union of its query files'
-        slices: the union of every slice less the positions that only the
-        oracle's slice holds, newest first, which the sequential collector
-        cuts to ``max_commits``.  Cases whose positions agree share one
-        list."""
+        first).  A case's positions are the union of the other files'
+        slices, newest first, which the sequential collector cuts to
+        ``max_commits``.  Cases whose positions agree share one list."""
         config = self.config
         take = config.max_commits
         sequential = config.collector is Collector.SEQUENTIAL
         cap = config.max_changeset_size
         end = len(self._order) - 1
         transactions = self._transactions
-        # position -> the one file whose slice holds it, None when several do
-        only: dict[int, str | None] = {}
-        for f in changeset:
-            at = self._positions.get(f)
-            if at:
-                i = bisect_left(at, end)
-                for p in at[max(i - take, 0):i]:
-                    if sequential or len(transactions[p].files) <= cap:
-                        only[p] = None if p in only else f
-        newest = sorted(only, reverse=True)
-        owners = set(only.values())
+        slices = []  # by oracle, as the cases are ordered
+        for f in sorted(changeset):
+            at = self._positions.get(f, [])
+            i = bisect_left(at, end)
+            s = at[max(i - take, 0):i]
+            slices.append(s if sequential else
+                          [p for p in s if len(transactions[p].files) <= cap])
         lists: dict[tuple[int, ...], int] = {}
         dbs: list[list[Transaction]] = []
         index = []
-        for oracle in sorted(changeset):
-            kept = tuple([p for p in newest if only[p] != oracle]
-                         if oracle in owners else newest)
-            if sequential:
-                kept = kept[:take]
+        for j in range(len(slices)):
+            others = slices[:j] + slices[j + 1:]
+            # one slice is already sorted and free of repeats
+            kept = (others[0][::-1] if len(others) == 1
+                    else sorted(set().union(*others), reverse=True))
+            kept = tuple(kept[:take] if sequential else kept)
             k = lists.setdefault(kept, len(dbs))
             if k == len(dbs):
-                dbs.append([transactions[p] for p in kept])
+                dbs.append([*map(transactions.__getitem__, kept)])
             index.append(k)
         return dbs, index
 
@@ -256,19 +278,24 @@ def _prepare_commit(
     return None, list(zip(cases, *runs))
 
 
+_reciprocal = lru_cache(maxsize=1024)(lambda rank: Fraction(1, rank))
+_ZERO = Fraction(0)
+
+
 def _classify(
     files: Iterable[str], test_case: TestCase
 ) -> tuple[Outcome, int | None, Fraction]:
     """Outcome, 1-based oracle rank, and average precision for one case,
     given the recommended ``files``, best first.  Files in the query are
-    stripped before ranking."""
+    stripped before ranking.  The precision of each rank is one shared
+    ``Fraction``, and so is zero."""
     rank = 0
     for f in files:
         if f not in test_case.query:
             rank += 1
             if f == test_case.oracle:
-                return Outcome.SUCCESS, rank, Fraction(1, rank)
-    return (Outcome.FAILURE if rank else Outcome.NO_PREDICTION), None, Fraction(0)
+                return Outcome.SUCCESS, rank, _reciprocal(rank)
+    return (Outcome.FAILURE if rank else Outcome.NO_PREDICTION), None, _ZERO
 
 
 def aggregate_rates(
@@ -471,10 +498,19 @@ class ExperimentResult:
 
 def _record(case: TestCase, strategy: Strategy, run: PipelineRun,
             cut: int | None) -> EvaluationRecord:
-    """``strategy``'s record for ``case``: ``run``'s first ``cut`` fired files."""
+    """``strategy``'s record for ``case``: ``run``'s first ``cut`` fired
+    files, built as ``_transaction`` builds (a record has no checks)."""
     files = run.fired_files[:cut]
-    return EvaluationRecord(case, strategy, *_classify(files, case),
-                            len(files), run.n_rules)
+    outcome, rank, precision = _classify(files, case)
+    record = object.__new__(EvaluationRecord)
+    _set(record, "test_case", case)
+    _set(record, "strategy", strategy)
+    _set(record, "outcome", outcome)
+    _set(record, "oracle_rank", rank)
+    _set(record, "average_precision", precision)
+    _set(record, "n_recommendations", len(files))
+    _set(record, "n_rules", run.n_rules)
+    return record
 
 
 def _scored_cases(

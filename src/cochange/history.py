@@ -530,18 +530,23 @@ def strategy_walk(
     return [e for e in entries if e is not None]
 
 
+def _entry_files(graph: CommitGraph, cid: str,
+                 strategy: Strategy) -> tuple[frozenset[str], EntryOrigin]:
+    """The files ``cid`` contributes under ``strategy``, empty when it
+    contributes nothing, and why it contributes them."""
+    c = graph.commits[cid]
+    if not c.is_merge:
+        return c.changeset, EntryOrigin.ORDINARY
+    if strategy is Strategy.FIRST_PARENT_MERGE:
+        return c.changeset, EntryOrigin.MERGE_FULL_DIFF
+    return additional_changes(graph, cid), EntryOrigin.MERGE_ADDITIONAL_ONLY
+
+
 def _entry(
     graph: CommitGraph, cid: str, strategy: Strategy
 ) -> ChangesetEntry | None:
     """``cid``'s entry under ``strategy``; None when it contributes nothing."""
-    c = graph.commits[cid]
-    if not c.is_merge:
-        files, origin = c.changeset, EntryOrigin.ORDINARY
-    elif strategy is Strategy.FIRST_PARENT_MERGE:
-        files, origin = c.changeset, EntryOrigin.MERGE_FULL_DIFF
-    else:
-        files = additional_changes(graph, cid)
-        origin = EntryOrigin.MERGE_ADDITIONAL_ONLY
+    files, origin = _entry_files(graph, cid, strategy)
     return ChangesetEntry(cid, files, origin) if files else None
 
 

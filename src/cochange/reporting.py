@@ -57,21 +57,6 @@ def fmt_decimal(value: Fraction | float | None, places: int = 3) -> str:
     return f"{float(value):.{places}f}"
 
 
-def _record_row(record: EvaluationRecord) -> list[str]:
-    case = record.test_case
-    return [
-        case.commit,
-        case.oracle,
-        ";".join(sorted(case.query)),
-        record.strategy.value,
-        record.outcome.value,
-        "" if record.oracle_rank is None else str(record.oracle_rank),
-        f"{float(record.average_precision):.6f}",
-        str(record.n_recommendations),
-        str(record.n_rules),
-    ]
-
-
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as UTF-8 CSV with LF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -82,12 +67,25 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 
 def write_records_csv(result: ExperimentResult, path: str | Path) -> None:
     """One row per record; each test case contributes both strategies'
-    rows back to back, in experiment order."""
-    write_csv(
-        path,
-        RECORD_COLUMNS,
-        (_record_row(r) for pair in zip(result.records_a, result.records_b) for r in pair),
-    )
+    rows back to back, in experiment order.  A case's leading fields,
+    each side's strategy and each distinct precision's text are built
+    once."""
+    sides = (result.strategy_a.value, result.strategy_b.value)
+    precision: dict[tuple[int, int], str] = {}
+
+    def rows() -> Iterable[list[str]]:
+        for pair in zip(result.records_a, result.records_b):
+            case = pair[0].test_case
+            lead = [case.commit, case.oracle, ";".join(sorted(case.query))]
+            for strategy, r in zip(sides, pair):
+                ap = r.average_precision
+                key = ap.numerator, ap.denominator
+                text = precision.get(key) or precision.setdefault(key, f"{float(ap):.6f}")
+                yield lead + [strategy, r.outcome.value,
+                              "" if r.oracle_rank is None else str(r.oracle_rank),
+                              text, str(r.n_recommendations), str(r.n_rules)]
+
+    write_csv(path, RECORD_COLUMNS, rows())
 
 
 _RATES = ("success_rate", "failure_rate", "no_prediction_rate",

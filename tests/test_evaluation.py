@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cochange.history as history_module
 import cochange.mining as mining_module
@@ -27,6 +27,7 @@ from cochange import (
     RecommenderConfig,
     Strategy,
     TestCase as EvalCase,
+    Transaction,
     aggregate_rates,
     generate_test_cases,
     map_all,
@@ -758,6 +759,8 @@ class TestKeyScoredStreamAgainstReference:
         for fairness in (False, True):
             result = ExperimentResult(*strategies, fairness=fairness)
             rows = list(_scored_cases(graph, config, result))
+            # a commit that raised would leave its records out of both sides
+            assert not result.errors
             expected = [
                 reference_records(case, (run_a, run_b), strategies, fairness)
                 for case, run_a, run_b, _ in rows
@@ -767,6 +770,16 @@ class TestKeyScoredStreamAgainstReference:
             assert [row[3] for row in rows] == result.verdicts == [
                 pairwise_verdict(a, b) for a, b in expected
             ]
+            # built unchecked, each is what the constructors build
+            for r in result.records_a + result.records_b:
+                case = r.test_case
+                twin_case = EvalCase(case.commit, case.query, case.oracle)
+                twin = EvaluationRecord(twin_case, r.strategy, r.outcome, r.oracle_rank,
+                                        r.average_precision, r.n_recommendations,
+                                        r.n_rules)
+                for got, built in ((case, twin_case), (r, twin)):
+                    assert got == built
+                    assert hash(got) == hash(built) and repr(got) == repr(built)
 
 
 class TestScoringBuildsNoRule:
@@ -844,9 +857,18 @@ def chain_walk_inputs(draw):
     return graph, caps, list(zip(chain, asks))
 
 
+def _cut_binds():
+    """Q's case hiding c queries a and b.  With ``max_commits`` 1 their
+    slices hold A and B, and the sequential collector cuts them to B."""
+    graph = build_graph([mk_commit("A", [], 1, ["a"]), mk_commit("B", ["A"], 2, ["b"]),
+                         mk_commit("Q", ["B"], 3, ["a", "b", "c"])], "Q")
+    return graph, (3, 1), [(c, True) for c in ancestors_first_parent(graph, graph.head)]
+
+
 class TestChainWalkAgainstReference:
     @settings(max_examples=300)
     @given(drawn=chain_walk_inputs())
+    @example(drawn=_cut_binds())
     def test_reused_indexed_walk_collects_what_collect_does(self, drawn):
         graph, (max_size, max_commits), chain = drawn
         for strategy in Strategy:
@@ -868,6 +890,10 @@ class TestChainWalkAgainstReference:
                     # one list per distinct collection, each one used
                     assert len({tuple(db) for db in dbs}) == len(dbs)
                     assert sorted(set(index)) == list(range(len(dbs)))
+                    # built unchecked, each is what the constructor builds
+                    for t in (t for db in dbs for t in db):
+                        assert type(t.files) is frozenset
+                        assert t == Transaction(t.files, t.source_commit)
 
     def test_cases_that_collect_alike_share_one_list_and_one_ranking(
         self, monkeypatch
