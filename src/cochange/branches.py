@@ -124,18 +124,6 @@ class WinnerRateBin:
     draws: int
     n: int
 
-    @property
-    def win_rate_a(self) -> Fraction:
-        return Fraction(self.wins_a, self.n)
-
-    @property
-    def win_rate_b(self) -> Fraction:
-        return Fraction(self.wins_b, self.n)
-
-    @property
-    def draw_rate(self) -> Fraction:
-        return Fraction(self.draws, self.n)
-
 
 # Each branch characteristic and the CausalDiagnosis field it bins.
 _CHARACTERISTICS = {"branch_length": "max_branch_length", "merge_size": "max_merge_size"}

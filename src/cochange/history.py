@@ -69,57 +69,6 @@ def validate_file_path(path: str) -> str:
 _valid_path = lru_cache(maxsize=4096)(validate_file_path)
 
 
-def _check_commit(
-    cid: str,
-    parents: tuple[str, ...],
-    ts: int,
-    changeset: frozenset[str],
-    merge_eq: Mapping[str, Iterable[bool]] | None,
-    known: Collection[str] = (),
-) -> dict[str, tuple[bool, ...]] | None:
-    """``Commit``'s rules, raising ValueError at the first broken one.
-
-    Returns ``merge_eq`` as the commit stores it: None for a non-merge,
-    else one tuple of bools per changed file.  A parent in ``known`` is
-    taken to be a valid id (the snapshot loader passes the commits it
-    has already loaded); any other parent is matched against the id
-    pattern.
-    """
-    validate_commit_id(cid)
-    for p in parents:
-        if p not in known:
-            validate_commit_id(p)
-    n = len(parents)
-    if n > 1 and len(set(parents)) != n:
-        raise ValueError(f"commit {cid} lists a duplicate parent")
-    if not isinstance(ts, int) or isinstance(ts, bool):
-        raise ValueError(f"commit {cid} has a non-integer timestamp")
-    for f in changeset:
-        _valid_path(f)
-    if n < 2:
-        if merge_eq:
-            raise ValueError(f"non-merge {cid} carries equality flags")
-        return None
-    eq = {f: tuple(map(bool, v)) for f, v in (merge_eq or {}).items()}
-    if eq.keys() != changeset:
-        raise ValueError(
-            f"merge {cid}: per-parent equality flags must cover "
-            "exactly the changed files"
-        )
-    for f, flags in eq.items():
-        if len(flags) != n:
-            raise ValueError(
-                f"merge {cid}: equality flags for {f!r} do not "
-                "match the parent count"
-            )
-        if flags[0]:
-            raise ValueError(
-                f"merge {cid}: {f!r} is in the changeset but "
-                "flagged equal to the first parent"
-            )
-    return eq
-
-
 @dataclass(frozen=True)
 class Commit:
     """One commit.  ``changeset`` is the diff against the first parent
@@ -141,11 +90,43 @@ class Commit:
     merge_eq: Mapping[str, tuple[bool, ...]] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "changeset", frozenset(self.changeset))
-        object.__setattr__(self, "merge_eq", _check_commit(
-            self.id, self.parents, self.author_timestamp, self.changeset, self.merge_eq
-        ))
+        cid, ts, merge_eq = self.id, self.author_timestamp, self.merge_eq
+        parents, changeset = tuple(self.parents), frozenset(self.changeset)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "changeset", changeset)
+        validate_commit_id(cid)
+        for p in parents:
+            validate_commit_id(p)
+        n = len(parents)
+        if n > 1 and len(set(parents)) != n:
+            raise ValueError(f"commit {cid} lists a duplicate parent")
+        if not isinstance(ts, int) or isinstance(ts, bool):
+            raise ValueError(f"commit {cid} has a non-integer timestamp")
+        for f in changeset:
+            _valid_path(f)
+        if n < 2:
+            if merge_eq:
+                raise ValueError(f"non-merge {cid} carries equality flags")
+            object.__setattr__(self, "merge_eq", None)
+            return
+        eq = {f: tuple(map(bool, v)) for f, v in (merge_eq or {}).items()}
+        if eq.keys() != changeset:
+            raise ValueError(
+                f"merge {cid}: per-parent equality flags must cover "
+                "exactly the changed files"
+            )
+        for f, flags in eq.items():
+            if len(flags) != n:
+                raise ValueError(
+                    f"merge {cid}: equality flags for {f!r} do not "
+                    "match the parent count"
+                )
+            if flags[0]:
+                raise ValueError(
+                    f"merge {cid}: {f!r} is in the changeset but "
+                    "flagged equal to the first parent"
+                )
+        object.__setattr__(self, "merge_eq", eq)
 
     @classmethod
     def _checked(
@@ -157,9 +138,10 @@ class Commit:
         merge_eq: dict[str, tuple[bool, ...]] | None,
     ) -> "Commit":
         """A commit built without ``__post_init__``.  Precondition: the
-        fields just passed ``_check_commit``, ``parents`` is a tuple,
-        ``changeset`` a frozenset and ``merge_eq`` is what the checker
-        returned.  Only ``load_snapshot`` calls it."""
+        fields keep ``__post_init__``'s rules, ``parents`` is a tuple,
+        ``changeset`` a frozenset and ``merge_eq`` is None for a
+        non-merge, else a dict of bool tuples.  Only
+        ``ingest._accept_records`` calls it."""
         commit = object.__new__(cls)
         # one item at a time: faster than update(), and the instance dict
         # keeps sharing its keys with the class's other instances

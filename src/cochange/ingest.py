@@ -1,9 +1,10 @@
 """Reading git repositories and persisting history snapshots.
 
 A snapshot is a line-oriented JSON file: one header line, then one line
-per commit, parents always before children.  Only a newline (``\\n``)
-ends a line, and each line holds one JSON object.  Snapshots are byte
-deterministic for a given graph, so they can be diffed and hashed.
+per commit, parents always before children.  Only a newline (``\\n``,
+optionally after ``\\r``) ends a line, and each line holds one JSON
+object.  Snapshots are byte deterministic for a given graph, so they
+can be diffed and hashed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import chain, compress, count, repeat
 from operator import eq, gt, itemgetter, methodcaller, not_
 from pathlib import Path
 
-from .history import Commit, CommitGraph, _check_commit, _valid_path, validate_commit_id
+from .history import Commit, CommitGraph, _valid_path, validate_commit_id
 
 FORMAT_VERSION = 1
 
@@ -59,20 +60,7 @@ def save_snapshot(graph: CommitGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# The C scanner behind ``json.loads``, without its whitespace skipping
-# and end-of-input check: one call parses one record line.
-_scan_once = json.scanner.make_scanner(json.JSONDecoder())
-
-
 def _snapshot_json(raw: str, line_no: int) -> dict:
-    try:
-        value, end = _scan_once(raw, 0)
-        if end == len(raw) and type(value) is dict:
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    # whitespace around the value, extra data, invalid JSON or not an
-    # object: json.loads accepts the line or gives the message
     try:
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -107,8 +95,9 @@ def load_snapshot(path: str | Path) -> CommitGraph:
     The records are checked in two passes.  ``_accept_records`` checks
     every rule a column at a time and builds the commits of a
     well-formed file; on any broken rule it gives up, and
-    ``_check_records`` checks the records one line at a time and raises
-    the ``SnapshotError`` that names the first broken line.
+    ``_check_records`` builds the records one line at a time with
+    ``Commit(...)`` and raises the ``SnapshotError`` that names the
+    first broken line.
     """
     try:
         data = Path(path).read_bytes()
@@ -120,6 +109,8 @@ def load_snapshot(path: str | Path) -> CommitGraph:
         raise SnapshotError(
             f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1
         ) from None
+    if "\r" in text:  # a \r before a \n belongs to the separator
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if not lines[-1]:  # the final newline ends the last line
         lines.pop()
@@ -162,6 +153,9 @@ def load_snapshot(path: str | Path) -> CommitGraph:
 # ``validate_commit_id``'s pattern.
 _drop_id_chars = dict.fromkeys(map(ord, "0123456789abcdef"))
 _record_merge_eq = methodcaller("get", "merge_eq", {})
+# The C scanner behind ``json.loads``, without its whitespace skipping
+# and end-of-input check: one call parses one record line.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
 # Record lines scanned at a time.  A chunk's parsed lines are freed
 # before the next is scanned, so fewer of them outlive a collection of
 # the young generation and the full collections stay rare: on a
@@ -274,8 +268,9 @@ def _accept_chunk(lines: list[str]) -> tuple | None:
 
 
 def _check_records(lines: list[str], boundaries: frozenset[str]) -> dict[str, Commit]:
-    """The commits of the record lines, checked one line at a time;
-    raises the ``SnapshotError`` that names the first broken line."""
+    """The commits of the record lines, built one line at a time by
+    ``Commit(...)``; raises the ``SnapshotError`` that names the first
+    broken line."""
     commits: dict[str, Commit] = {}
     for line_no, raw in enumerate(lines, start=2):
         if not raw.strip():
@@ -292,11 +287,11 @@ def _check_records(lines: list[str], boundaries: frozenset[str]) -> dict[str, Co
         for f, flags in merge_eq.items():
             if not _is_list_of(bool, flags):
                 raise SnapshotError(f"merge_eq[{f!r}] must be a list of bool", line_no)
-        cid, parents, ts, files = rec["id"], tuple(parents), rec["ts"], frozenset(files)
         try:
-            merge_eq = _check_commit(cid, parents, ts, files, merge_eq, commits)
+            commit = Commit(rec["id"], parents, rec["ts"], files, merge_eq)
         except ValueError as exc:
             raise SnapshotError(str(exc), line_no) from None
+        cid = commit.id
         if cid in commits:
             raise SnapshotError(f"duplicate commit {cid}", line_no)
         if cid in boundaries:
@@ -308,7 +303,7 @@ def _check_records(lines: list[str], boundaries: frozenset[str]) -> dict[str, Co
                     "appeared earlier nor is a boundary",
                     line_no,
                 )
-        commits[cid] = Commit._checked(cid, parents, ts, files, merge_eq)
+        commits[cid] = commit
     return commits
 
 

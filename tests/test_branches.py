@@ -182,7 +182,7 @@ class TestWinnerRateTable:
         first, second = table
         assert (first.low, first.high, first.n) == (1, 3, 3)
         assert (first.wins_a, first.wins_b, first.draws) == (2, 0, 1)
-        assert first.win_rate_a == Fraction(2, 3)
+        assert Fraction(first.wins_a, first.n) == Fraction(2, 3)
         assert (second.low, second.high, second.n) == (4, 5, 2)
         assert (second.wins_a, second.wins_b, second.draws) == (0, 2, 0)
 

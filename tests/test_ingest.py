@@ -20,7 +20,6 @@ from cochange import (
     save_snapshot,
 )
 
-import cochange.history as history_mod
 import cochange.ingest as ingest_mod
 from cochange.cli import main
 from cochange.history import validate_commit_id
@@ -452,7 +451,28 @@ class TestSnapshotValidation:
     def test_crlf_snapshot_loads(self, merge_graph, tmp_path):
         path = tmp_path / "crlf.jsonl"
         path.write_bytes(("\r\n".join(lines_of(merge_graph, tmp_path)) + "\r\n").encode())
-        assert load_snapshot(path) == merge_graph
+        # the column pass accepts it: the per-line pass never runs
+        with mock.patch.object(
+            ingest_mod, "_check_records", wraps=ingest_mod._check_records
+        ) as per_line:
+            assert load_snapshot(path) == merge_graph
+        per_line.assert_not_called()
+
+    def test_crlf_record_cut_inside_a_string_fails_as_its_lf_twin(
+        self, merge_graph, tmp_path
+    ):
+        lines = lines_of(merge_graph, tmp_path)
+        cut = lines[2].index('"id":"') + 10  # inside the second record's id
+        lines[2:3] = [lines[2][:cut], lines[2][cut:]]
+        path = tmp_path / "cut.jsonl"
+        outcomes = []
+        for separator in ("\n", "\r\n"):
+            path.write_bytes((separator.join(lines) + separator).encode())
+            with pytest.raises(SnapshotError, match="Unterminated string") as exc:
+                load_snapshot(path)
+            outcomes.append((str(exc.value), exc.value.line))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == 3
 
     def test_header_must_be_complete(self, merge_graph, tmp_path):
         lines = lines_of(merge_graph, tmp_path)
@@ -709,7 +729,9 @@ class TestSnapshotMutations:
 def reference_load_snapshot(path):
     """``load_snapshot`` before its record loop was made cheaper: one
     ``json.loads`` per line and generator type checks.  Only two fixes
-    are applied: lines end at ``\\n`` alone, and an id is matched whole."""
+    are applied: lines end at ``\\n`` alone (the ``\\r`` of a ``\\r\\n``
+    dropped, as README's separator rule says), and an id is matched
+    whole."""
 
     def as_json(raw, line_no):
         try:
@@ -734,7 +756,7 @@ def reference_load_snapshot(path):
         raise SnapshotError(
             f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1
         ) from None
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -1029,25 +1051,23 @@ def break_timestamp(lines, k):
 
 class TestLoadChecksOnce:
     """A well-formed snapshot is accepted by the column pass, which calls
-    neither ``_check_commit`` nor ``CommitGraph._validate``; the per-line
-    pass runs only to name a broken line."""
+    neither ``Commit.__post_init__`` nor ``CommitGraph._validate``; the
+    per-line pass runs only to name a broken line."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"check": 0, "validate": 0}
-        check, validate = history_mod._check_commit, CommitGraph._validate
+        check, validate = Commit.__post_init__, CommitGraph._validate
 
-        def counted_check(*args):
+        def counted_check(commit):
             calls["check"] += 1
-            return check(*args)
+            return check(commit)
 
         def counted_validate(graph):
             calls["validate"] += 1
             return validate(graph)
 
-        # both bindings, so a public Commit(...) built by the loader counts
-        monkeypatch.setattr(history_mod, "_check_commit", counted_check)
-        monkeypatch.setattr(ingest_mod, "_check_commit", counted_check)
+        monkeypatch.setattr(Commit, "__post_init__", counted_check)
         monkeypatch.setattr(CommitGraph, "_validate", counted_validate)
         return calls
 
