@@ -134,6 +134,13 @@ class _ChainWalk:
     changesets, which that collector never takes, and the per-file index
     keeps them, since they still take a slot there.
 
+    A position's changeset is the one object of its value in the
+    graph's ``_changesets`` table, shared by both strategies' walks:
+    equal changesets of different commits, and a merge's additional
+    changes rebuilt on each push, are otherwise separate frozensets, and
+    the ranker's changeset count and ``_prepare_commit``'s identical
+    test would compare their files instead of matching by identity.
+
     Construction splices in the chain commits, oldest first, so the walk
     ends at ``head``, and logs each splice.  ``at(commit)`` undoes
     splices back to an older chain commit; ``collect`` reads the history
@@ -175,9 +182,10 @@ class _ChainWalk:
 
     def _push(self, commits: Iterable[str]) -> None:
         order, positions = self._order, self._positions
+        shared = self.graph._changesets
         for cid in commits:
             files = _entry_files(self.graph, cid, self.strategy)[0]
-            t = _transaction(files, cid) if files else None
+            t = _transaction(shared.setdefault(files, files), cid) if files else None
             self._pos[cid] = len(order)
             for f in self._indexed(t):
                 positions[f].append(len(order))

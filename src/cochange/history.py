@@ -284,6 +284,12 @@ class CommitGraph:
         }
 
     @cached_property
+    def _changesets(self) -> dict[frozenset[str], frozenset[str]]:
+        """One object per distinct changeset the case stream pushed
+        (``evaluation._ChainWalk._push``), keyed by itself."""
+        return {}
+
+    @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         kids: dict[str, list[str]] = {cid: [] for cid in self.commits}
         for cid, c in self.commits.items():

@@ -15,6 +15,11 @@ built, and builds a ``Fraction`` rule (``_rule``) only for a key whose
 rule fires.  ``apriori`` (level-wise, with candidate pruning), and
 ``single_consequent_rules`` followed by ``filter_rules``, are the
 straightforward reference it is tested against.
+
+Evaluation's case stream gives ``_ranked`` one object per distinct
+changeset (``evaluation._ChainWalk``), so counting each changeset's
+transactions matches by identity; a database of equal but separate
+frozensets ranks the same, only slower.
 """
 
 from __future__ import annotations
@@ -292,6 +297,15 @@ def _ranked(
             if len(keys) >= max_rules:
                 break
             level = c_all
+        if len(itemset) == 2:  # most itemsets: key both rules unsliced
+            a, b = itemset
+            c_x = counts[(b,)]
+            if c_all * conf_den >= conf_num * c_x:
+                keys.append((-c_all, c_x, 1, (b,), a))
+            c_x = counts[(a,)]
+            if c_all * conf_den >= conf_num * c_x:
+                keys.append((-c_all, c_x, 1, (a,), b))
+            continue
         for i, item in enumerate(itemset):
             x = itemset[:i] + itemset[i + 1:]
             c_x = counts[x]

@@ -51,7 +51,7 @@ from cochange.evaluation import (
     _prepare_commit,
     _scored_cases,
 )
-from cochange.history import ancestors_all, ancestors_first_parent
+from cochange.history import _entry_files, ancestors_all, ancestors_first_parent
 from cochange.recommend import (
     Collector,
     _collect,
@@ -865,6 +865,22 @@ def _cut_binds():
     return graph, (3, 1), [(c, True) for c in ancestors_first_parent(graph, graph.head)]
 
 
+def _merge_repushed():
+    """T is older than M, so N's splice pops M and pushes T, M, N; ``at(M)``
+    then undoes it and pushes M again, with its additional change a built
+    anew."""
+    graph = build_graph([
+        mk_commit("A", [], 1, ["a", "b"]),
+        mk_commit("S", ["A"], 2, ["b"]),
+        mk_commit("T", ["A"], 3, ["c"]),
+        mk_commit("M", ["A", "S"], 4, ["a", "b"],
+                  {"a": (False, False), "b": (False, True)}),
+        mk_commit("N", ["M", "T"], 5, ["a", "c"],
+                  {"a": (False, True), "c": (False, False)}),
+    ], "N")
+    return graph, (3, 2), [(c, True) for c in ancestors_first_parent(graph, graph.head)]
+
+
 class TestChainWalkAgainstReference:
     @settings(max_examples=300)
     @given(drawn=chain_walk_inputs())
@@ -894,6 +910,44 @@ class TestChainWalkAgainstReference:
                     for t in (t for db in dbs for t in db):
                         assert type(t.files) is frozenset
                         assert t == Transaction(t.files, t.source_commit)
+
+    @settings(max_examples=150)
+    @given(drawn=chain_walk_inputs())
+    @example(drawn=_merge_repushed())
+    def test_both_walks_share_one_object_per_distinct_changeset(self, drawn):
+        graph, (max_size, max_commits), chain = drawn
+        config = RecommenderConfig(max_changeset_size=max_size, max_commits=max_commits)
+        for pair in itertools.combinations(Strategy, 2):
+            graph = CommitGraph(graph.commits, graph.head, graph.boundaries)  # an empty table
+            walks = [_ChainWalk(graph, s, config, graph.head) for s in pair]
+            table = graph._changesets
+            # every changeset either walk ever pushes: each ancestor's
+            # under full, each first-parent one's otherwise
+            pushed = {
+                _entry_files(graph, cid, s)[0] for s in pair
+                for cid in (ancestors_all if s is Strategy.FULL
+                            else ancestors_first_parent)(graph, graph.head)
+            } - {frozenset()}
+            for commit, asks in chain:
+                for walk in walks:
+                    walk.at(commit)
+                held = [t.files for walk in walks for t in walk._transactions if t]
+                assert all(table[files] is files for files in held)
+                assert set(table) == pushed
+                assert all(key is value for key, value in table.items())
+                cases = generate_test_cases(graph, commit)
+                if not (asks and cases):
+                    continue
+                for walk, strategy in zip(walks, pair):
+                    reference = _walk_before(graph, commit, strategy)
+                    dbs, index = walk.collect(graph.commit(commit).changeset)
+                    for k, db in enumerate(dbs):
+                        # counting by identity weighs each changeset as
+                        # counting the reference collection by value does
+                        expected = Counter(t.files for t in _collect(
+                            reference, cases[index.index(k)].query, config))
+                        assert Counter(id(t.files) for t in db) == {
+                            id(table[files]): n for files, n in expected.items()}
 
     def test_cases_that_collect_alike_share_one_list_and_one_ranking(
         self, monkeypatch

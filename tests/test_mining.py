@@ -459,6 +459,41 @@ class TestMaskRuns:
         ]
 
 
+@st.composite
+def wide_databases(draw):
+    """1-15 transactions over seven files, one of them a changeset of
+    three to five files: at a support and confidence of 1/20 every
+    subset of it is frequent and keyed, so ``_ranked`` keys itemsets of
+    three or more files as well as pairs."""
+    files = st.sampled_from("abcdefg")
+    wide = draw(st.frozensets(files, min_size=3, max_size=5))
+    pool = [wide, *draw(st.lists(st.frozensets(files, min_size=1), max_size=4))]
+    return tx(wide, *draw(st.lists(st.sampled_from(pool), max_size=14)))
+
+
+class TestSharedChangesets:
+    """The case stream hands ``_ranked`` one object per distinct
+    changeset; equal but separate objects rank the same."""
+
+    @settings(max_examples=200)
+    @given(
+        db=wide_databases(),
+        minsup=st.one_of(st.just(Fraction(1, 20)), thresholds()),
+        minconf=st.one_of(st.just(Fraction(1, 20)), thresholds()),
+        max_rules=st.one_of(st.just(1000), st.integers(1, 40)),
+    )
+    def test_fresh_equal_changesets_rank_the_same(self, db, minsup, minconf, max_rules):
+        fresh = [Transaction(frozenset(list(t.files)), t.source_commit) for t in db]
+        assert not any(u.files is t.files for u, t in zip(fresh, db))
+        keys = _ranked(db, minsup, minconf, max_rules)
+        assert _ranked(fresh, minsup, minconf, max_rules) == keys
+        assert [_rule(len(db), key) for key in keys] == filter_rules(
+            single_consequent_rules(db, minsup, minconf), max_rules
+        )
+        if (minsup, minconf, max_rules) == (Fraction(1, 20), Fraction(1, 20), 1000):
+            assert max(len(x) for _, _, _, x, _ in keys) >= 2
+
+
 class TestExactThresholds:
     @pytest.mark.parametrize("value", [0.5, 1.0, True])
     def test_float_and_bool_rejected_naming_the_field(self, value):
