@@ -134,8 +134,8 @@ class _ChainWalk:
     changesets, which that collector never takes, and the per-file index
     keeps them, since they still take a slot there.
 
-    A position's changeset is the one object of its value in the
-    graph's ``_changesets`` table, shared by both strategies' walks:
+    A position's changeset is the one object of its value in
+    ``changesets``, the run's table shared by both strategies' walks:
     equal changesets of different commits, and a merge's additional
     changes rebuilt on each push, are otherwise separate frozensets, and
     the ranker's changeset count and ``_prepare_commit``'s identical
@@ -154,10 +154,12 @@ class _ChainWalk:
         strategy: Strategy,
         config: RecommenderConfig,
         head: str,
+        changesets: dict[frozenset[str], frozenset[str]],
     ) -> None:
         self.graph = graph
         self.strategy = strategy
         self.config = config
+        self._shared = changesets
         self._order: list[str] = []
         self._pos: dict[str, int] = {}
         self._transactions: list[Transaction | None] = []
@@ -182,7 +184,7 @@ class _ChainWalk:
 
     def _push(self, commits: Iterable[str]) -> None:
         order, positions = self._order, self._positions
-        shared = self.graph._changesets
+        shared = self._shared
         for cid in commits:
             files = _entry_files(self.graph, cid, self.strategy)[0]
             t = _transaction(shared.setdefault(files, files), cid) if files else None
@@ -534,7 +536,9 @@ def _scored_cases(
     are first cut to the shorter length.
     """
     strategies = (result.strategy_a, result.strategy_b)
-    walks = tuple(_ChainWalk(graph, s, config, graph.head) for s in strategies)
+    changesets: dict[frozenset[str], frozenset[str]] = {}
+    walks = tuple(_ChainWalk(graph, s, config, graph.head, changesets)
+                  for s in strategies)
     for commit in ancestors_first_parent(graph, graph.head):
         result.commits_considered += 1
         for w in walks:

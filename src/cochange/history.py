@@ -171,9 +171,11 @@ class ChangesetEntry:
 class CommitGraph:
     """Validated, immutable commit DAG.
 
-    ``boundaries`` holds parent ids that are referenced but not present
-    (shallow-clone edges); traversals stop there.  ``label`` is free-form
-    provenance carried through snapshots.
+    ``commits`` is keyed parents first.  ``boundaries`` holds parent ids
+    that are referenced but not present (shallow-clone edges); traversals
+    stop there.  ``label`` is free-form provenance carried through
+    snapshots.  Run state, such as a case stream's changeset table,
+    belongs to the run: a graph holds only indexes derived from its fields.
     """
 
     commits: Mapping[str, Commit]
@@ -212,14 +214,12 @@ class CommitGraph:
         """A graph built without ``_validate``.  Precondition: ``commits``
         is non-empty, keyed by id and parents first: each parent is an
         earlier key or in ``boundaries``, whose valid ids are not keys.
-        ``head`` is a key.  The graph keeps ``commits`` itself, and the
-        reversed key order is its children-first order.  Only
-        ``load_snapshot`` calls it."""
+        ``head`` is a key.  The graph keeps ``commits`` itself, whose key
+        order is then already the parents-first order ``_validate``
+        gives every other graph.  Only ``load_snapshot`` calls it."""
         graph = object.__new__(cls)
         graph.__dict__.update(
-            commits=commits, head=head, boundaries=boundaries, label=label,
-            _children_first=list(reversed(commits)),
-        )
+            commits=commits, head=head, boundaries=boundaries, label=label)
         return graph
 
     def commit(self, commit_id: str) -> Commit:
@@ -249,7 +249,9 @@ class CommitGraph:
         # a commit on a cycle, or below one, never leaves the walk's heap
         if len(self._newest_first_order) != len(self.commits):
             raise ValueError("commit graph contains a cycle")
-        object.__setattr__(self, "_children_first", self._newest_first_order)
+        commits = self.commits
+        object.__setattr__(self, "commits", {
+            cid: commits[cid] for cid in reversed(self._newest_first_order)})
 
     @cached_property
     def _newest_first_order(self) -> list[str]:
@@ -269,7 +271,7 @@ class CommitGraph:
     def _generation(self) -> dict[str, int]:
         """Longest distance from the roots, per commit."""
         gen: dict[str, int] = {}
-        for cid in reversed(self._children_first):
+        for cid in self.commits:
             gen[cid] = 1 + max((gen[p] for p in self._parents[cid]), default=-1)
         return gen
 
@@ -282,12 +284,6 @@ class CommitGraph:
             else tuple(p for p in c.parents if p not in b)
             for cid, c in self.commits.items()
         }
-
-    @cached_property
-    def _changesets(self) -> dict[frozenset[str], frozenset[str]]:
-        """One object per distinct changeset the case stream pushed
-        (``evaluation._ChainWalk._push``), keyed by itself."""
-        return {}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -324,7 +320,7 @@ class CommitGraph:
     def _branch_table(self) -> dict[str, frozenset[str]]:
         """Every merge's ``branch_commits``, built once, parents first."""
         table: dict[str, frozenset[str]] = {}
-        for cid in reversed(self._children_first):
+        for cid in self.commits:
             if self.commits[cid].is_merge:
                 table[cid] = _branch_of(self, cid, table)
         return table

@@ -17,9 +17,9 @@ rule fires.  ``apriori`` (level-wise, with candidate pruning), and
 straightforward reference it is tested against.
 
 Evaluation's case stream gives ``_ranked`` one object per distinct
-changeset (``evaluation._ChainWalk``), so counting each changeset's
-transactions matches by identity; a database of equal but separate
-frozensets ranks the same, only slower.
+changeset, from its run's table (``evaluation._ChainWalk``), so
+counting each changeset's transactions matches by identity; a database
+of equal but separate frozensets ranks the same, only slower.
 """
 
 from __future__ import annotations

@@ -173,17 +173,6 @@ def _fire(
     return PipelineRun(db, len(best), tuple(fired))
 
 
-def _run_pipeline(
-    db: list[Transaction],
-    files: frozenset[str],
-    config: RecommenderConfig,
-) -> PipelineRun:
-    """Rank ``db``, the transactions collected for query ``files``, on
-    ``config``'s thresholds, validated already; then fire."""
-    best = _ranked(db, config.minsup, config.minconf, config.max_rules)
-    return _fire(db, best, files)
-
-
 def recommend(
     graph: CommitGraph,
     query: Query,
@@ -197,8 +186,9 @@ def recommend(
     in the query are not removed here.
     """
     db = collect_commits(graph, query, strategy, config)
+    best = _ranked(db, config.minsup, config.minconf, config.max_rules)
     entries = []
-    for key in _run_pipeline(db, query.files, config).fired:
+    for key in _fire(db, best, query.files).fired:
         rule = _rule(len(db), key)
         entries.append(RecommendationEntry(key[4], rule.support, rule))
     return Recommendation(tuple(entries), strategy)

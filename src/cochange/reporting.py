@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
@@ -264,8 +265,9 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
     """One summary's table lines and its repo winners (None without
     events), every field read through ``_Fields``.  The figures must
     agree: each strategy's events and the wins plus draws equal
-    ``events``, and each winner is the one ``_verdict`` reads off the
-    strategies' figures and the signed-rank p-value."""
+    ``events``, each winner is the one ``_verdict`` reads off the
+    strategies' figures and the signed-rank p-value, that p-value is
+    null or in [0, 1], and the statistic is finite and not below 0."""
     s = _Fields(summary)
     pair = s.nested("strategy_pair", list)
     if len(pair.container) != 2 or pair.container[0] == pair.container[1]:
@@ -307,9 +309,13 @@ def _summary_block(summary: dict) -> tuple[list[str], dict | None]:
     out.append(f"draws: {draws}")
     wilcoxon = s.nested("wilcoxon_map")
     p_value = wilcoxon("p_value", float, type(None))
+    if p_value is not None and not 0 <= p_value <= 1:  # NaN too
+        raise ValueError("wilcoxon_map.p_value: must be in [0, 1]")
+    statistic = wilcoxon("statistic", float)
+    if not 0 <= statistic < math.inf:
+        raise ValueError("wilcoxon_map.statistic: must be finite and not below 0")
     if p_value is not None:
-        out.append(f"signed-rank on AP: statistic="
-                   f"{wilcoxon('statistic', float):.1f} p={p_value:.5f}")
+        out.append(f"signed-rank on AP: statistic={statistic:.1f} p={p_value:.5f}")
     winner = s.nested("repo_winner")
     winners = {metric: winner(metric, str) for metric in METRICS}
     by_verdict = {PairedVerdict.WIN_A: names[0], PairedVerdict.WIN_B: names[1]}

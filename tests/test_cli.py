@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -1225,6 +1226,15 @@ class TestReport:
         (("wilcoxon_map", "p_value"), 0.01,
          "repo_winner.map_all: draw contradicts per_strategy and wilcoxon_map, "
          "which give full"),
+        # a p-value no test gives, which no comparison with alpha refuses
+        (("wilcoxon_map", "p_value"), math.nan, "wilcoxon_map.p_value: must be in [0, 1]"),
+        (("wilcoxon_map", "p_value"), math.inf, "wilcoxon_map.p_value: must be in [0, 1]"),
+        (("wilcoxon_map", "p_value"), -1.0, "wilcoxon_map.p_value: must be in [0, 1]"),
+        (("wilcoxon_map", "p_value"), 7.0, "wilcoxon_map.p_value: must be in [0, 1]"),
+        (("wilcoxon_map", "statistic"), math.nan,
+         "wilcoxon_map.statistic: must be finite and not below 0"),
+        (("wilcoxon_map", "statistic"), -1.0,
+         "wilcoxon_map.statistic: must be finite and not below 0"),
         (("per_strategy", "full", "map_all"), {"num": 1, "den": 0},
          "per_strategy.full.map_all: not a finite rational"),
         (("per_strategy", "full", "map_all"), {"num": 10**400, "den": 1},

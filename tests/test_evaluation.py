@@ -8,6 +8,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +31,7 @@ from cochange import (
     Transaction,
     aggregate_rates,
     generate_test_cases,
+    load_snapshot,
     map_all,
     map_app,
     pairwise_verdict,
@@ -39,6 +41,7 @@ from cochange import (
     single_consequent_rules,
     wilcoxon_signed_rank,
 )
+from cochange.branches import analyze_branches
 from cochange.cli import main
 import cochange.evaluation as evaluation_module
 from cochange.evaluation import (
@@ -52,10 +55,11 @@ from cochange.evaluation import (
     _scored_cases,
 )
 from cochange.history import _entry_files, ancestors_all, ancestors_first_parent
+from cochange.mining import _ranked
 from cochange.recommend import (
     Collector,
     _collect,
-    _run_pipeline,
+    _fire,
     _walk_before,
 )
 from cochange.reporting import summarize_experiment
@@ -161,7 +165,8 @@ class TestGenerateTestCases:
 
 def eligibility(graph, commit, strategies, config):
     """Whether ``commit`` alone is eligible, and the first reason it fails."""
-    walks = tuple(_ChainWalk(graph, s, config, commit) for s in strategies)
+    changesets = {}
+    walks = tuple(_ChainWalk(graph, s, config, commit, changesets) for s in strategies)
     reason, _ = _prepare_commit(graph, commit, walks, config)
     return reason is None, reason
 
@@ -670,9 +675,11 @@ def mine_first(graph, commit, strategies, config):
     walks = [_walk_before(graph, commit, s) for s in strategies]
     rows = []
     for case in cases:
+        dbs = [_collect(walk, case.query, config) for walk in walks]
         rows.append((case, *(
-            _run_pipeline(_collect(walk, case.query, config), case.query, config)
-            for walk in walks
+            _fire(db, _ranked(db, config.minsup, config.minconf, config.max_rules),
+                  case.query)
+            for db in dbs
         )))
     runs = [run for row in rows for run in row[1:]]
 
@@ -892,7 +899,7 @@ class TestChainWalkAgainstReference:
                 config = RecommenderConfig(max_changeset_size=max_size,
                                            max_commits=max_commits,
                                            collector=collector)
-                walk = _ChainWalk(graph, strategy, config, graph.head)
+                walk = _ChainWalk(graph, strategy, config, graph.head, {})
                 for commit, asks in chain:
                     walk.at(commit)
                     cases = generate_test_cases(graph, commit)
@@ -918,9 +925,8 @@ class TestChainWalkAgainstReference:
         graph, (max_size, max_commits), chain = drawn
         config = RecommenderConfig(max_changeset_size=max_size, max_commits=max_commits)
         for pair in itertools.combinations(Strategy, 2):
-            graph = CommitGraph(graph.commits, graph.head, graph.boundaries)  # an empty table
-            walks = [_ChainWalk(graph, s, config, graph.head) for s in pair]
-            table = graph._changesets
+            table = {}
+            walks = [_ChainWalk(graph, s, config, graph.head, table) for s in pair]
             # every changeset either walk ever pushes: each ancestor's
             # under full, each first-parent one's otherwise
             pushed = {
@@ -971,7 +977,8 @@ class TestChainWalkAgainstReference:
             mk_commit("Q", ["M"], 7, ["a", "b", "c"]),
         ], "Q")
         config = RecommenderConfig()
-        walks = tuple(_ChainWalk(graph, s, config, graph.head)
+        changesets = {}
+        walks = tuple(_ChainWalk(graph, s, config, graph.head, changesets)
                       for s in PAIR_NO_MERGE)
         ranked = []
         real = evaluation_module._ranked
@@ -1036,7 +1043,7 @@ class TestChainWalkAgainstReference:
 def _walk_orders(graph, head):
     """Each strategy's spliced walk ending at ``head``, newest first."""
     return {
-        s: _ChainWalk(graph, s, RecommenderConfig(), head)._order[::-1]
+        s: _ChainWalk(graph, s, RecommenderConfig(), head, {})._order[::-1]
         for s in Strategy
     }
 
@@ -1058,7 +1065,7 @@ class TestSplicedWalkOrder:
         for commit in chain:
             assert _walk_orders(graph, commit) == _reference_orders(graph, commit)
         # backward: one walk built to the head, undone newest first
-        walks = {s: _ChainWalk(graph, s, RecommenderConfig(), graph.head)
+        walks = {s: _ChainWalk(graph, s, RecommenderConfig(), graph.head, {})
                  for s in Strategy}
         for commit in chain:
             for walk in walks.values():
@@ -1084,7 +1091,7 @@ class TestSplicedWalkOrder:
             mk_commit("X", ["A"], 0, ["x"]),
             mk_commit("C", ["P", "X"], 20, ["x"], {"x": (False, True)}),
         ], "C")
-        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head)
+        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head, {})
         assert walk._order[::-1] == ancestors_all(graph, hid("C")) == [
             hid(t) for t in "CPBXA"
         ]
@@ -1097,6 +1104,43 @@ class TestSplicedWalkOrder:
     ], ids=["long-branches", "short-branches", "generic-600"])
     def test_splices_emit_each_ancestor_once(self, graph):
         # a splice that re-walks the old history would emit it again
-        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head)
+        walk = _ChainWalk(graph, Strategy.FULL, RecommenderConfig(), graph.head, {})
         assert walk._order[::-1] == ancestors_all(graph, graph.head)
         assert sum(pushed for pushed, _ in walk._log) == len(walk._order)
+
+
+def _evaluate(pair):
+    return lambda graph: run_experiment(graph, pair, RecommenderConfig(), False)
+
+
+def _analyze(graph):
+    result = ExperimentResult(*PAIR_NO_MERGE, False)
+    return result, analyze_branches(graph, RecommenderConfig(), result, "median")
+
+
+class TestGraphHoldsOnlyDerivedState:
+    """Runs leave nothing of their own on the graph they read: after
+    both evaluation profiles and a branch analysis on one graph, its
+    instance state is its four fields and cached indexes equal to a
+    fresh copy's, and each run scores as it does on a graph of its own."""
+
+    RUNS = (_evaluate(PAIR_NO_MERGE),
+            _evaluate((Strategy.FULL, Strategy.FIRST_PARENT_MERGE)), _analyze)
+
+    def test_runs_on_one_graph_leave_only_derived_state(self, tmp_path):
+        built = generic_graph(7, 70)
+        save_snapshot(built, tmp_path / "snap.jsonl")
+        for graph in (built, load_snapshot(tmp_path / "snap.jsonl")):
+            shared = [run(graph) for run in self.RUNS]
+            assert shared[0].records_a and shared[1].records_a
+
+            def fresh():
+                return CommitGraph(dict(graph.commits), graph.head,
+                                   graph.boundaries, graph.label)
+
+            copy = fresh()
+            for key, value in vars(graph).items():
+                if key not in ("commits", "head", "boundaries", "label"):
+                    assert isinstance(vars(CommitGraph).get(key), cached_property), key
+                    assert value == getattr(copy, key), key
+            assert shared == [run(fresh()) for run in self.RUNS]

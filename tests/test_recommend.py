@@ -16,8 +16,8 @@ from cochange import (
     single_consequent_rules,
 )
 from cochange.history import ancestors_first_parent
-from cochange.mining import _rule
-from cochange.recommend import _run_pipeline
+from cochange.mining import _ranked, _rule
+from cochange.recommend import _fire
 
 from conftest import (
     build_graph, databases, evaluation_inputs, hid, mk_commit, thresholds,
@@ -308,7 +308,7 @@ class TestPipelineAgainstReference:
     )
     def test_matches_building_every_rule(self, db, files, minsup, minconf, max_rules):
         config = RecommenderConfig(minsup=minsup, minconf=minconf, max_rules=max_rules)
-        run = _run_pipeline(db, files, config)
+        run = _fire(db, _ranked(db, minsup, minconf, max_rules), files)
         n_raw, n_rules, entries = reference_pipeline(db, files, config)
         assert run.n_rules == n_rules
         # reason 4 of evaluation reads n_rules as "was any rule mined"
